@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", default="exact", choices=ALGORITHMS)
     p_solve.add_argument("--td", help="PACE .td decomposition to use")
     p_solve.add_argument("--json", action="store_true")
-    p_solve.add_argument("--seed", type=int, default=0,
-                         help="reserved; current algorithms are deterministic")
     p_solve.add_argument("--strategy", default="min-fill",
                          choices=[s.value for s in Strategy])
     p_solve.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,

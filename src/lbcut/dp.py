@@ -1,22 +1,25 @@
 """Minimum-cost CSP solving by dynamic programming over a tree decomposition.
 
-Bottom-up over the rooted tree: each node enumerates the assignments of its
-bag, filters by every hard constraint its bag covers, charges each soft
-constraint at exactly one owner node (the topmost bag containing its whole
-scope), and folds children in one at a time by agreeing on the shared
-variables.  A top-down pass over stored back-pointers rebuilds one optimal
-assignment.
+Every constraint, hard or soft, is charged at exactly one owner node: the
+topmost bag containing its whole scope.  Bottom-up over the rooted tree,
+each node's table is one numpy array with an axis per bag variable, in bag
+order, sized by that variable's domain.  Each owned constraint adds its
+penalty array over its scope, broadcast across the bag: 0 where allowed, 1
+where a soft constraint is violated, inf where a hard one is.  A child is
+folded in by minimizing its table over the variables its parent lacks; the
+argmin, shaped like the separator, is kept as the back-pointer and the
+child's table is dropped.  A top-down pass over the back-pointers rebuilds
+one optimal assignment.
 
-Tables are dense numpy arrays indexed by a mixed-radix bag index while they
-fit under ``dense_cutoff`` entries, and plain dicts above that; tables over
-``table_budget`` entries abort with ResourceExceeded instead of thrashing.
+``table_budget`` caps the entry count of any one bag's table: a bag over it
+aborts with ResourceExceeded before its table is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -28,10 +31,7 @@ from .errors import (DecompositionMismatch, LbcutError, NoVertexCut,
 from .graph import CutSet, Instance, Variant, verify_cut
 from .treedec import Strategy, TreeDecomposition, build_heuristic
 
-DENSE_CUTOFF = 1 << 22
 TABLE_BUDGET = 1 << 26
-
-_INT_MAX = np.iinfo(np.int64).max
 
 
 def _check_decomposition(q: CspInstance, td: TreeDecomposition) -> None:
@@ -69,11 +69,11 @@ def _check_decomposition(q: CspInstance, td: TreeDecomposition) -> None:
                 f"no bag covers constraint scope {c.scope}")
 
 
-def soft_owners(q: CspInstance, td: TreeDecomposition) -> list[int]:
-    """Owner node of each soft constraint: the topmost bag covering its scope."""
+def _owners(td: TreeDecomposition, constraints) -> list[int]:
+    """Owner node of each constraint: the topmost bag covering its scope."""
     bag_sets = td.bag_sets()
     owners = []
-    for c in q.soft:
+    for c in constraints:
         scope = set(c.scope)
         covering = [a for a, bs in enumerate(bag_sets) if scope <= bs]
         if not covering:
@@ -83,174 +83,56 @@ def soft_owners(q: CspInstance, td: TreeDecomposition) -> list[int]:
     return owners
 
 
-class _Table:
-    """Per-node DP state over the bag's mixed-radix assignment index."""
-
-    __slots__ = ("vars", "sizes", "strides", "size", "dense",
-                 "cost", "entries", "ptrs", "child_nodes", "_pos_cache")
-
-    def __init__(self, bag_vars, domains, dense_cutoff):
-        self.vars = tuple(bag_vars)
-        self.sizes = [len(domains[v]) for v in self.vars]
-        self.strides = [1] * len(self.vars)
-        for i in range(len(self.vars) - 2, -1, -1):
-            self.strides[i] = self.strides[i + 1] * self.sizes[i + 1]
-        size = 1
-        for s in self.sizes:
-            size *= s
-        self.size = size
-        self.dense = size <= dense_cutoff
-        self.cost: Optional[np.ndarray] = None
-        self.entries: Optional[dict[int, list]] = None
-        self.ptrs: list[np.ndarray] = []
-        self.child_nodes: list[int] = []
-        self._pos_cache: dict[int, np.ndarray] = {}
-
-    def positions(self, v: int) -> np.ndarray:
-        """Dense only: the domain position of variable v for every index."""
-        if v not in self._pos_cache:
-            i = self.vars.index(v)
-            idx = np.arange(self.size, dtype=np.int64)
-            self._pos_cache[v] = (idx // self.strides[i]) % self.sizes[i]
-        return self._pos_cache[v]
-
-    def decode(self, idx: int, domains) -> dict[int, int]:
-        out = {}
-        for v, sz, st in zip(self.vars, self.sizes, self.strides):
-            out[v] = domains[v][(idx // st) % sz]
-        return out
+def soft_owners(q: CspInstance, td: TreeDecomposition) -> list[int]:
+    """Owner node of each soft constraint: the topmost bag covering its scope."""
+    return _owners(td, q.soft)
 
 
-def _constraint_lut(q: CspInstance, c: Constraint) -> tuple[list[int], np.ndarray]:
-    """Boolean table over the scope's domain-position space; True = allowed."""
-    sizes = [len(q.domains[v]) for v in c.scope]
-    strides = [1] * len(c.scope)
-    for i in range(len(c.scope) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    pos_of = [{x: k for k, x in enumerate(q.domains[v])} for v in c.scope]
-    total = 1
-    for s in sizes:
-        total *= s
-    lut = np.zeros(total, dtype=bool)
-    for t in c.allowed:
-        key = sum(pos_of[i][x] * strides[i] for i, x in enumerate(t))
-        lut[key] = True
-    return strides, lut
-
-
-def _apply_dense(tbl: _Table, q: CspInstance, c: Constraint, hard: bool) -> None:
-    strides, lut = _constraint_lut(q, c)
-    key = np.zeros(tbl.size, dtype=np.int64)
-    for i, v in enumerate(c.scope):
-        key += tbl.positions(v) * strides[i]
-    ok = lut[key]
-    if hard:
-        tbl.cost[~ok] = np.inf
-    else:
-        tbl.cost += ~ok
-
-
-def _build_table(q: CspInstance, bag, hard_cons, soft_cons,
-                 dense_cutoff, table_budget, node) -> _Table:
-    tbl = _Table(bag, q.domains, dense_cutoff)
-    if tbl.size > table_budget:
-        raise ResourceExceeded(
-            f"table at node {node} needs {tbl.size} entries "
-            f"(budget {table_budget})")
-    if tbl.dense:
-        tbl.cost = np.zeros(tbl.size, dtype=np.float64)
-        for c in hard_cons:
-            _apply_dense(tbl, q, c, hard=True)
-        for c in soft_cons:
-            _apply_dense(tbl, q, c, hard=False)
-    else:
-        entries: dict[int, list] = {}
-        doms = [q.domains[v] for v in tbl.vars]
-        var_at = {v: i for i, v in enumerate(tbl.vars)}
-        for positions in product(*(range(s) for s in tbl.sizes)):
-            values = {v: doms[i][positions[i]] for v, i in var_at.items()}
-            if any(tuple(values[v] for v in c.scope) not in c.allowed
-                   for c in hard_cons):
-                continue
-            cost = sum(1 for c in soft_cons
-                       if tuple(values[v] for v in c.scope) not in c.allowed)
-            idx = sum(p * st for p, st in zip(positions, tbl.strides))
-            entries[idx] = [float(cost), []]
-        tbl.entries = entries
-    return tbl
-
-
-def _shared_layout(parent: _Table, child: _Table):
-    child_set = set(child.vars)
-    shared = [v for v in parent.vars if v in child_set]
-    sizes = [parent.sizes[parent.vars.index(v)] for v in shared]
-    strides = [1] * len(shared)
-    for i in range(len(shared) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    total = 1
-    for s in sizes:
-        total *= s
-    return shared, strides, total
-
-
-def _project_index(tbl: _Table, idx: int, shared, strides) -> int:
-    out = 0
-    for v, st in zip(shared, strides):
-        i = tbl.vars.index(v)
-        out += ((idx // tbl.strides[i]) % tbl.sizes[i]) * st
-    return out
-
-
-def _child_message(child: _Table, shared, strides, total):
-    """Group-minimum of the child table over the shared variables.
-
-    Returns (msg, arg) arrays of length ``total``; ties break toward the
-    smallest child index in both representations.
+def _penalty(q: CspInstance, c: Constraint, hard: bool,
+             cache: dict) -> np.ndarray:
+    """Cost over the scope's domain positions: 0 where allowed, else 1 (soft)
+    or inf (hard).  Built once per (relation, scope domains, kind) in ``cache``.
     """
-    msg = np.full(total, np.inf)
-    arg = np.full(total, _INT_MAX, dtype=np.int64)
-    if child.dense:
-        proj = np.zeros(child.size, dtype=np.int64)
-        for v, st in zip(shared, strides):
-            proj += child.positions(v) * st
-        np.minimum.at(msg, proj, child.cost)
-        cand = np.flatnonzero(child.cost == msg[proj])
-        np.minimum.at(arg, proj[cand], cand)
-    else:
-        for idx in sorted(child.entries):
-            cost = child.entries[idx][0]
-            s = _project_index(child, idx, shared, strides)
-            if cost < msg[s]:
-                msg[s] = cost
-                arg[s] = idx
-    return msg, arg
+    doms = tuple(q.domains[v] for v in c.scope)
+    key = (c.allowed, doms, hard)
+    pen = cache.get(key)
+    if pen is None:
+        pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
+        pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
+        for t in c.allowed:
+            pen[tuple(p[x] for p, x in zip(pos_of, t))] = 0.0
+        cache[key] = pen
+    return pen
 
 
-def _join_child(parent: _Table, child: _Table, child_node: int) -> None:
-    shared, strides, total = _shared_layout(parent, child)
-    msg, arg = _child_message(child, shared, strides, total)
-    parent.child_nodes.append(child_node)
-    if parent.dense:
-        proj = np.zeros(parent.size, dtype=np.int64)
-        for v, st in zip(shared, strides):
-            proj += parent.positions(v) * st
-        parent.cost += msg[proj]
-        parent.ptrs.append(arg[proj])
-    else:
-        dead = []
-        for idx, entry in parent.entries.items():
-            s = _project_index(parent, idx, shared, strides)
-            if not np.isfinite(msg[s]):
-                dead.append(idx)
-            else:
-                entry[0] += msg[s]
-                entry[1].append(int(arg[s]))
-        for idx in dead:
-            del parent.entries[idx]
+def _spread(bag: tuple[int, ...], shape: tuple[int, ...], sub) -> list[int]:
+    """Shape that broadcasts an array over ``sub`` across the bag's table.
+
+    ``sub`` must be a sub-sequence of the bag; bags and scopes are sorted,
+    so an array over ``sub`` already has its axes in bag order.
+    """
+    keep = set(sub)
+    return [n if v in keep else 1 for v, n in zip(bag, shape)]
+
+
+def _message(child: np.ndarray, cbag: tuple[int, ...],
+             parent_vars: set[int]) -> tuple[np.ndarray, tuple]:
+    """Minimize a child's table over the variables its parent lacks.
+
+    Returns the message, shaped like the separator, and the back-pointer:
+    (separator vars, child-only vars, their domain sizes, argmin over the
+    child-only positions, shaped like the separator).
+    """
+    shared = [i for i, v in enumerate(cbag) if v in parent_vars]
+    rest = [i for i, v in enumerate(cbag) if v not in parent_vars]
+    flat = child.transpose(shared + rest).reshape(
+        [child.shape[i] for i in shared] + [-1])
+    back = (tuple(cbag[i] for i in shared), tuple(cbag[i] for i in rest),
+            tuple(child.shape[i] for i in rest), flat.argmin(axis=-1))
+    return flat.min(axis=-1), back
 
 
 def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
-                  dense_cutoff: int = DENSE_CUTOFF,
                   table_budget: int = TABLE_BUDGET) -> Optional[CspSolution]:
     """Minimize violated soft constraints; None iff hard-infeasible.
 
@@ -261,17 +143,10 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     _check_decomposition(q, td)
     if any(len(d) == 0 for d in q.domains):
         return None
-    owners = soft_owners(q, td)
-    bag_sets = td.bag_sets()
-    hard_at: list[list[Constraint]] = [[] for _ in range(td.n_nodes)]
-    for c in q.hard:
-        scope = set(c.scope)
-        for a, bs in enumerate(bag_sets):
-            if scope <= bs:
-                hard_at[a].append(c)
-    soft_at: list[list[Constraint]] = [[] for _ in range(td.n_nodes)]
-    for c, a in zip(q.soft, owners):
-        soft_at[a].append(c)
+    owned: list[list[tuple[Constraint, bool]]] = [[] for _ in range(td.n_nodes)]
+    for hard, cons in ((True, q.hard), (False, q.soft)):
+        for c, a in zip(cons, _owners(td, cons)):
+            owned[a].append((c, hard))
 
     order = []
     stack = [td.root]
@@ -280,45 +155,48 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
         order.append(a)
         stack.extend(td.children[a])
 
-    tables: dict[int, _Table] = {}
+    penalties: dict = {}
+    costs: dict[int, np.ndarray] = {}
+    # Per node, (child, *back-pointer) for each joined child; see _message.
+    links: list[list[tuple]] = [[] for _ in range(td.n_nodes)]
     for a in reversed(order):
-        tbl = _build_table(q, td.bags[a], hard_at[a], soft_at[a],
-                           dense_cutoff, table_budget, a)
-        for c in td.children[a]:
-            _join_child(tbl, tables[c], c)
-        tables[a] = tbl
+        bag = td.bags[a]
+        shape = tuple(len(q.domains[v]) for v in bag)
+        size = math.prod(shape)
+        if size > table_budget:
+            raise ResourceExceeded(
+                f"table at node {a} needs {size} entries "
+                f"(budget {table_budget})")
+        cost = np.zeros(shape)
+        for c, hard in owned[a]:
+            cost += _penalty(q, c, hard, penalties).reshape(
+                _spread(bag, shape, c.scope))
+        for ch in td.children[a]:
+            msg, back = _message(costs.pop(ch), td.bags[ch], set(bag))
+            cost += msg.reshape(_spread(bag, shape, back[0]))
+            links[a].append((ch, *back))
+        costs[a] = cost
 
-    root_tbl = tables[td.root]
-    if root_tbl.dense:
-        if root_tbl.size == 0:
-            return None
-        best = int(np.argmin(root_tbl.cost))
-        best_cost = root_tbl.cost[best]
-        if not np.isfinite(best_cost):
-            return None
-    else:
-        if not root_tbl.entries:
-            return None
-        best = min(root_tbl.entries, key=lambda i: (root_tbl.entries[i][0], i))
-        best_cost = root_tbl.entries[best][0]
+    root = costs.pop(td.root)
+    best = int(root.argmin())
+    best_cost = root.flat[best]
+    if not np.isfinite(best_cost):
+        return None
 
-    values: list[Optional[int]] = [None] * q.num_vars
-    walk = [(td.root, best)]
+    pos: list[Optional[int]] = [None] * q.num_vars
+    for v, p in zip(td.bags[td.root], np.unravel_index(best, root.shape)):
+        pos[v] = p
+    walk = [td.root]
     while walk:
-        node, idx = walk.pop()
-        tbl = tables[node]
-        for v, x in tbl.decode(idx, q.domains).items():
-            if values[v] is None:
-                values[v] = x
-        if tbl.dense:
-            child_idxs = [int(p[idx]) for p in tbl.ptrs]
-        else:
-            child_idxs = tbl.entries[idx][1]
-        walk.extend(zip(tbl.child_nodes, child_idxs))
-    for v in range(q.num_vars):
-        if values[v] is None:
-            values[v] = q.domains[v][0]
-    return CspSolution(int(round(best_cost)), tuple(values))
+        a = walk.pop()
+        for ch, sep, rest, rest_shape, arg in links[a]:
+            k = arg[tuple(pos[v] for v in sep)]
+            for v, p in zip(rest, np.unravel_index(k, rest_shape)):
+                pos[v] = p
+            walk.append(ch)
+    values = tuple(d[0 if p is None else int(p)]
+                   for d, p in zip(q.domains, pos))
+    return CspSolution(int(best_cost), values)
 
 
 @dataclass(frozen=True)
@@ -331,7 +209,6 @@ class ExactRun:
 def solve_exact_cut_detailed(inst: Instance,
                              td: Optional[TreeDecomposition] = None, *,
                              strategy: Strategy = Strategy.MIN_FILL,
-                             dense_cutoff: int = DENSE_CUTOFF,
                              table_budget: int = TABLE_BUDGET) -> ExactRun:
     """Encode, solve, decode, and verify; reports the decomposition width used."""
     from .treedec import width as td_width
@@ -345,8 +222,7 @@ def solve_exact_cut_detailed(inst: Instance,
         q = encode_vertex_cut(inst)
     if td is None:
         td = build_heuristic(inst.graph, strategy)
-    sol = solve_min_csp(q, td, dense_cutoff=dense_cutoff,
-                        table_budget=table_budget)
+    sol = solve_min_csp(q, td, table_budget=table_budget)
     if sol is None:
         raise LbcutError("cut encodings are always hard-feasible; "
                          "infeasibility indicates a bug")
@@ -366,9 +242,7 @@ def solve_exact_cut_detailed(inst: Instance,
 def solve_exact_cut(inst: Instance,
                     td: Optional[TreeDecomposition] = None, *,
                     strategy: Strategy = Strategy.MIN_FILL,
-                    dense_cutoff: int = DENSE_CUTOFF,
                     table_budget: int = TABLE_BUDGET) -> CutSet:
     """Optimal L-bounded cut of the instance via the CSP route."""
     return solve_exact_cut_detailed(
-        inst, td, strategy=strategy, dense_cutoff=dense_cutoff,
-        table_budget=table_budget).cut
+        inst, td, strategy=strategy, table_budget=table_budget).cut

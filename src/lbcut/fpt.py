@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dp import DENSE_CUTOFF, TABLE_BUDGET, solve_exact_cut_detailed
+from .dp import TABLE_BUDGET, solve_exact_cut_detailed
 from .errors import LbcutError, NoVertexCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
@@ -57,7 +57,6 @@ class FptRun:
 def solve_fpt_detailed(inst: Instance,
                        td: Optional[TreeDecomposition] = None, *,
                        strategy: Strategy = Strategy.MIN_FILL,
-                       dense_cutoff: int = DENSE_CUTOFF,
                        table_budget: int = TABLE_BUDGET) -> FptRun:
     """Prune, solve exactly on the subgraph, translate back, and re-verify.
 
@@ -81,9 +80,7 @@ def solve_fpt_detailed(inst: Instance,
         sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
     else:
         sub_td = build_heuristic(pr.subgraph, strategy)
-    run = solve_exact_cut_detailed(
-        sub_inst, sub_td, dense_cutoff=dense_cutoff,
-        table_budget=table_budget)
+    run = solve_exact_cut_detailed(sub_inst, sub_td, table_budget=table_budget)
 
     if inst.variant is Variant.EDGE:
         members = tuple(norm_edge(pr.kept[u], pr.kept[v])
@@ -101,8 +98,6 @@ def solve_fpt_detailed(inst: Instance,
 
 def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
               strategy: Strategy = Strategy.MIN_FILL,
-              dense_cutoff: int = DENSE_CUTOFF,
               table_budget: int = TABLE_BUDGET) -> CutSet:
     return solve_fpt_detailed(
-        inst, td, strategy=strategy, dense_cutoff=dense_cutoff,
-        table_budget=table_budget).cut
+        inst, td, strategy=strategy, table_budget=table_budget).cut

@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from lbcut import (Constraint, CspInstance, DecompositionMismatch, Graph,
                    Instance, ResourceExceeded, TreeDecomposition, Variant,
-                   brute_force_csp, build_heuristic, constraint_graph,
-                   encode_edge_cut, encode_vertex_cut, solve_exact_cut,
+                   brute_force_csp, brute_force_cut, build_heuristic,
+                   constraint_graph, encode_edge_cut, encode_vertex_cut,
+                   generate, parse_instance, solve_exact_cut, solve_fpt,
                    solve_min_csp, violated_soft_count)
 from lbcut.csp import satisfies_all_hard
 from lbcut.dp import soft_owners
@@ -114,18 +116,36 @@ def test_dp_matches_enumeration_on_random_csps():
             assert x in q.domains[v]
 
 
-def test_dp_sparse_path_matches_dense():
-    rng = random.Random(77)
-    for _ in range(30):
-        q = random_csp(rng, max_vars=6, max_dom=3)
-        td = decomposition_for(q)
-        dense = solve_min_csp(q, td)
-        sparse = solve_min_csp(q, td, dense_cutoff=1)
-        if dense is None:
-            assert sparse is None
-        else:
-            assert sparse.cost == dense.cost
-            assert sparse.assignment == dense.assignment
+def test_dp_empty_bag_disjoint_children_and_infeasible_child():
+    # The root bag is empty (a 0-d table) and neither child shares a
+    # variable with it, so each message is a single number.
+    td = TreeDecomposition(((), (0, 1), (2,)), frozenset({(0, 1), (0, 2)}))
+    soft = (Constraint((0, 1), frozenset({(0, 1), (1, 0)})),
+            Constraint((0,), frozenset({(1,)})),
+            Constraint((1,), frozenset({(1,)})),
+            Constraint((2,), frozenset({(0,)})))
+    q = CspInstance(3, ((0, 1), (0, 1), (0, 1, 2)),
+                    (Constraint((2,), frozenset({(1,), (2,)})),), soft)
+    got = solve_min_csp(q, td)
+    assert got.cost == brute_force_csp(q).cost == 2
+    assert satisfies_all_hard(q, got.assignment)
+    assert violated_soft_count(q, got.assignment) == got.cost
+
+    # The child holding variable 2 admits no value at all.
+    stuck = CspInstance(3, q.domains,
+                        q.hard + (Constraint((2,), frozenset({(0,)})),), soft)
+    assert brute_force_csp(stuck) is None
+    assert solve_min_csp(stuck, td) is None
+
+
+def test_fpt_grid_with_table_over_four_million_entries():
+    g = parse_instance(generate("grid", [5, 6]))
+    inst = Instance(g, 0, 29, 10, Variant.VERTEX)
+    start = time.perf_counter()
+    cut = solve_fpt(inst)
+    best = time.perf_counter() - start
+    assert cut.size == brute_force_cut(inst).size
+    assert best < 30.0, f"took {best:.1f}s"
 
 
 def test_solve_exact_cut_cycle():
