@@ -1,37 +1,49 @@
-"""Recursive width-factor approximation for L-bounded vertex cuts.
+"""Width-factor approximation for L-bounded vertex cuts.
 
 Given a rooted tree decomposition of width w, the returned cut is feasible,
 at most w times the optimum, and comes with a certified lower bound on the
-optimum.  The recursion:
+optimum.  One loop runs over the original graph and decomposition with a
+shrinking set of alive vertices; a node's live bag (live subtree set) is its
+bag (the union of the bags in its subtree) restricted to them.  While an s-t
+path of length <= L (a short path) remains among the alive vertices:
 
-  1. no s-t path of length <= L: return the empty cut (bound 0);
-  2. no bag holds both s and t: an ordinary minimum vertex cut suffices
-     and some bag minus the terminals bounds its size by w (bound 1);
-  3. otherwise let R be the nodes whose bag holds both terminals and whose
-     subtree subgraph still has a short s-t path, and b a deepest node
-     of R (max depth, then smallest id);
-  4. if B(b) = {s,t}: the terminals separate the graph, recurse on the two
-     halves split at b and take the union (bounds add);
-  5. else delete B(b) minus the terminals, recurse on the remainder, and
-     add the deleted vertices (bound grows by 1: every short s-t path in
-     b's subtree subgraph runs through the deleted set, disjointly from
-     the remainder's short paths).
+  1. if no bag holds both s and t, add a minimum vertex cut (at most w
+     vertices: some bag minus the terminals separates them) and stop;
+  2. else let b be the deepest node (then smallest id) whose bag holds both
+     terminals and whose live subtree set has a short path, and delete its
+     live bag minus the terminals: every short path there runs through it,
+     disjointly from the short paths that remain;
+  3. if there is no such b, delete the live bag of the topmost node holding
+     both terminals, minus the terminals, and stop: all short paths would
+     otherwise lie in that node's subtree, which has none.
 
-If R is empty even though some bag holds both terminals (a case the
-recursion above never selects a node for), the bag of the topmost such node
-minus the terminals is itself a feasible cut: all short s-t paths would
-otherwise be confined to that node's subtree subgraph, which has none.
-That fallback returns directly with bound 1.
+Each step adds 1 to the lower bound.
+
+Negative cache.  Steps delete vertices but never s or t, so the nodes
+holding both terminals never change, and a node whose live subtree set has
+no short path never gets one again.  Scanning them deepest first, every
+node before b has none, so one pass over them in that order does all the
+steps, and each node tests negative once.  A test is a depth-capped BFS
+restricted to the live subtree set; no subgraph is built.
+
+No split case.  If b's live bag were {s, t}, a short path in its subtree
+would have internal vertices (s and t are not adjacent) outside B(b).  By
+the running-intersection property they, and the path edges joining them,
+lie in the subtree of one child c, and so do the edges from s and t to the
+path; then s and t are in B(c), and c is a deeper node with a short path.
+So the deleted set is never empty on a valid decomposition; if it is, the
+loop raises InvalidDecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidDecomposition, LbcutError, NoVertexCut
-from .graph import (CutSet, Graph, Instance, Variant, hop_distance,
-                    min_vertex_cut, verify_cut)
+from .graph import (CutSet, Instance, Variant, hop_distance, min_vertex_cut,
+                    verify_cut)
+# split_at, prune_decomposition: unused, kept for the benchmark's tracer
 from .treedec import (Strategy, TreeDecomposition, build_heuristic,
                       prune_decomposition, split_at, subtree_vertex_sets,
                       validate, width)
@@ -39,13 +51,16 @@ from .treedec import (Strategy, TreeDecomposition, build_heuristic,
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recursion event: leaf-mincut, split, prune, or fallback."""
+    """One step of the loop: leaf-mincut, prune, or fallback.
+
+    ``bag`` is the node's live bag and ``subtree_vertices`` its live
+    subtree set when the step fired.
+    """
 
     kind: str
     node: Optional[int] = None
     bag: tuple[int, ...] = ()
     removed: tuple[int, ...] = ()
-    graph: Optional[Graph] = field(default=None, repr=False)
     subtree_vertices: tuple[int, ...] = ()
 
 
@@ -57,67 +72,8 @@ class ApproxResult:
     trace: tuple[TraceEvent, ...]
 
 
-def _recurse(g: Graph, td: TreeDecomposition, s: int, t: int, L: int,
-             trace: list[TraceEvent],
-             parent_measure: Optional[tuple[int, int]]) -> tuple[set[int], int]:
-    measure = (td.n_nodes, len(g.vertices))
-    if parent_measure is not None and not measure < parent_measure:
-        raise InvalidDecomposition(
-            "recursion failed to shrink (node count, vertex count); "
-            "the decomposition is inconsistent")
-
-    if hop_distance(g, s, t, cap=L) is None:
-        return set(), 0
-
-    bag_sets = td.bag_sets()
-    both = [a for a in range(td.n_nodes)
-            if s in bag_sets[a] and t in bag_sets[a]]
-    if not both:
-        cut = min_vertex_cut(g, s, t)
-        trace.append(TraceEvent("leaf-mincut", removed=cut.members, graph=g))
-        return set(cut.members), 1
-
-    subtree_sets = subtree_vertex_sets(td)
-    candidates = [
-        a for a in both
-        if hop_distance(g.induced(subtree_sets[a]), s, t, cap=L) is not None]
-
-    if not candidates:
-        a_star = min(both, key=lambda a: (td.depth[a], a))
-        removed = tuple(sorted(bag_sets[a_star] - {s, t}))
-        if not removed:
-            raise InvalidDecomposition(
-                "fallback separator is empty; the decomposition is inconsistent")
-        trace.append(TraceEvent("fallback", node=a_star, bag=td.bags[a_star],
-                                removed=removed, graph=g,
-                                subtree_vertices=tuple(sorted(subtree_sets[a_star]))))
-        return set(removed), 1
-
-    b = max(candidates, key=lambda a: (td.depth[a], -a))
-    if bag_sets[b] == {s, t}:
-        if b == td.root:
-            raise InvalidDecomposition(
-                "terminal-only bag at the root cannot split the graph")
-        sp = split_at(td, g, b)
-        trace.append(TraceEvent("split", node=b, bag=td.bags[b], graph=g,
-                                subtree_vertices=tuple(sorted(subtree_sets[b]))))
-        below_cut, below_lb = _recurse(sp.below_graph, sp.below, s, t, L,
-                                       trace, measure)
-        above_cut, above_lb = _recurse(sp.above_graph, sp.above, s, t, L,
-                                       trace, measure)
-        return below_cut | above_cut, below_lb + above_lb
-
-    removed = tuple(sorted(bag_sets[b] - {s, t}))
-    g2, td2 = prune_decomposition(td, g, removed)
-    trace.append(TraceEvent("prune", node=b, bag=td.bags[b], removed=removed,
-                            graph=g,
-                            subtree_vertices=tuple(sorted(subtree_sets[b]))))
-    rest_cut, rest_lb = _recurse(g2, td2, s, t, L, trace, measure)
-    return rest_cut | set(removed), 1 + rest_lb
-
-
 def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
-    """Run the recursion on a validated decomposition of the instance graph."""
+    """Run the approximation on a validated decomposition of the instance graph."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
     if inst.graph.has_edge(inst.s, inst.t):
@@ -125,14 +81,49 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     check = validate(td, inst.graph)
     if not check.ok:
         raise InvalidDecomposition(check.violation)
-    all_bag_vertices = set().union(*td.bag_sets())
-    if not all_bag_vertices <= inst.graph.vertices:
+    bag_sets = td.bag_sets()
+    if not set().union(*bag_sets) <= inst.graph.vertices:
         raise InvalidDecomposition(
             "bags contain vertices that are not in the graph")
 
+    g, s, t, L = inst.graph, inst.s, inst.t, inst.L
+    both = sorted((a for a in range(td.n_nodes) if {s, t} <= bag_sets[a]),
+                  key=lambda a: (-td.depth[a], a))
+    subtree_sets = subtree_vertex_sets(td)
+    alive = set(g.vertices)
+    members: set[int] = set()
     trace: list[TraceEvent] = []
-    members, lower_bound = _recurse(inst.graph, td, inst.s, inst.t, inst.L,
-                                    trace, None)
+
+    def delete_live_bag(kind: str, a: int) -> None:
+        live_bag = bag_sets[a] & alive
+        removed = tuple(sorted(live_bag - {s, t}))
+        if not removed:
+            raise InvalidDecomposition(
+                f"the live bag of node {a} holds only the terminals, so "
+                "deleting it would not shrink the graph; the decomposition "
+                "is inconsistent")
+        trace.append(TraceEvent(
+            kind, node=a, bag=tuple(sorted(live_bag)), removed=removed,
+            subtree_vertices=tuple(sorted(subtree_sets[a] & alive))))
+        alive.difference_update(removed)
+        members.update(removed)
+
+    # One pass, deepest first (see "Negative cache").  A node with a short
+    # path implies one in the graph, so the graph is tested only after it.
+    for b in both:
+        while hop_distance(g, s, t, cap=L,
+                           within=subtree_sets[b] & alive) is not None:
+            delete_live_bag("prune", b)
+    if hop_distance(g, s, t, cap=L, within=alive) is not None:
+        if both:
+            delete_live_bag("fallback",
+                            min(both, key=lambda a: (td.depth[a], a)))
+        else:
+            cut = min_vertex_cut(g, s, t)
+            trace.append(TraceEvent("leaf-mincut", removed=cut.members))
+            members.update(cut.members)
+
+    lower_bound = len(trace)
     cut = CutSet(Variant.VERTEX, tuple(sorted(members)),
                  lower_bound=lower_bound, algorithm="approx")
     if not verify_cut(inst, cut).feasible:

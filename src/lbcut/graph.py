@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .errors import GraphError, InvalidCut, NoVertexCut
 
@@ -183,10 +183,15 @@ def bfs_distances(g: Graph, source: int) -> DistanceVector:
     return DistanceVector(source, tuple(dist))
 
 
-def hop_distance(g: Graph, s: int, t: int,
-                 cap: Optional[int] = None) -> Optional[int]:
-    """Distance from s to t, or None if unreachable or larger than ``cap``."""
-    if not (g.has_vertex(s) and g.has_vertex(t)):
+def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
+                 within: Optional[AbstractSet[int]] = None) -> Optional[int]:
+    """Distance from s to t, or None if unreachable or larger than ``cap``.
+
+    With ``within``, the search is confined to that vertex set, which gives
+    the distance in ``g.induced(within)`` without building that graph.
+    """
+    if not (g.has_vertex(s) and g.has_vertex(t)) or (
+            within is not None and not (s in within and t in within)):
         raise GraphError("terminals must be vertices of the graph")
     if s == t:
         return 0
@@ -198,7 +203,7 @@ def hop_distance(g: Graph, s: int, t: int,
         nxt = []
         for u in frontier:
             for w in g.neighbors(u):
-                if w in seen:
+                if w in seen or (within is not None and w not in within):
                     continue
                 if w == t:
                     return depth

@@ -7,6 +7,7 @@ listing.  None of it scales; none of it is supposed to.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Optional, Union
 
@@ -53,19 +54,6 @@ def brute_force_cut(inst: Instance,
     return UNKNOWN
 
 
-def _packed_keys(q: CspInstance, scope, value_arrays) -> tuple:
-    """Pack per-variable value arrays / allowed tuples into single integer keys."""
-    mins = [min(q.domains[v]) for v in scope]
-    spans = [max(q.domains[v]) - min(q.domains[v]) + 1 for v in scope]
-    strides = [1] * len(scope)
-    for i in range(len(scope) - 2, -1, -1):
-        strides[i] = strides[i + 1] * spans[i + 1]
-    keys = 0
-    for i, arr in enumerate(value_arrays):
-        keys = keys + (arr - mins[i]) * strides[i]
-    return keys, mins, strides
-
-
 def brute_force_csp(q: CspInstance,
                     budget: int = DEFAULT_CSP_BUDGET) -> Optional[CspSolution]:
     """Exhaustive minimum over all assignments; None if hard-infeasible.
@@ -73,10 +61,13 @@ def brute_force_csp(q: CspInstance,
     Ties go to the lexicographically first assignment under the per-variable
     domain orders.  Raises BudgetExceeded when the assignment space is
     larger than ``budget``.
+
+    All assignments form one array with an axis per variable, indexed by
+    position in that variable's domain.  Each constraint becomes a boolean
+    lookup over its scope's axes, broadcast over the others.
     """
-    total = 1
-    for d in q.domains:
-        total *= len(d)
+    shape = tuple(len(d) for d in q.domains)
+    total = math.prod(shape)
     if total > budget:
         raise BudgetExceeded(
             f"{total} assignments exceed the budget of {budget}")
@@ -85,37 +76,27 @@ def brute_force_csp(q: CspInstance,
     if q.num_vars == 0:
         return CspSolution(0, ())
 
-    sizes = [len(d) for d in q.domains]
-    strides = [1] * q.num_vars
-    for i in range(q.num_vars - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    idx = np.arange(total, dtype=np.int64)
+    def allowed(c) -> np.ndarray:
+        positions = [{x: i for i, x in enumerate(q.domains[v])}
+                     for v in c.scope]
+        lut = np.zeros([shape[v] for v in c.scope], dtype=bool)
+        for values in c.allowed:
+            lut[tuple(pos[x] for pos, x in zip(positions, values))] = True
+        scope = set(c.scope)
+        return lut.reshape([shape[v] if v in scope else 1
+                            for v in range(q.num_vars)])
 
-    def values_of(v: int) -> np.ndarray:
-        dom = np.asarray(q.domains[v], dtype=np.int64)
-        return dom[(idx // strides[v]) % sizes[v]]
-
-    def allowed_mask(c) -> np.ndarray:
-        arrays = [values_of(v) for v in c.scope]
-        keys, mins, key_strides = _packed_keys(q, c.scope, arrays)
-        allowed = np.array(
-            sorted(sum((x - m) * s for x, m, s in zip(t, mins, key_strides))
-                   for t in c.allowed),
-            dtype=np.int64)
-        return np.isin(keys, allowed)
-
-    hard_ok = np.ones(total, dtype=bool)
+    hard_ok = np.ones(shape, dtype=bool)
     for c in q.hard:
-        hard_ok &= allowed_mask(c)
-    violations = np.zeros(total, dtype=np.int64)
+        hard_ok &= allowed(c)
+    violations = np.zeros(shape, dtype=np.int64)
     for c in q.soft:
-        violations += ~allowed_mask(c)
+        violations += ~allowed(c)
     if not hard_ok.any():
         return None
     costs = np.where(hard_ok, violations, np.iinfo(np.int64).max)
-    best = int(np.argmin(costs))
-    assignment = tuple(q.domains[v][(best // strides[v]) % sizes[v]]
-                       for v in range(q.num_vars))
+    best = np.unravel_index(int(np.argmin(costs)), shape)
+    assignment = tuple(q.domains[v][i] for v, i in enumerate(best))
     return CspSolution(int(violations[best]), assignment)
 
 

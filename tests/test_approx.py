@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -140,10 +141,30 @@ def test_prune_events_destroy_a_short_path_disjointly():
                 for ev in res.trace:
                     if ev.kind != "prune":
                         continue
-                    sub = ev.graph.induced(ev.subtree_vertices)
+                    # subtree_vertices are live vertices, so this is the
+                    # subtree subgraph the step saw
+                    sub = inst.graph.induced(ev.subtree_vertices)
                     paths = enumerate_short_paths(sub, s, t, L)
                     assert paths, "prune fired on a subtree without a short path"
                     for p in paths:
                         assert set(p[1:-1]) & set(ev.removed)
                     checked += 1
     assert checked > 50
+
+
+def test_long_fan_runs_without_recursion():
+    # s = 0 and t = 1 adjacent to every vertex of the path 2..k+1: with
+    # L = 2 the optimum is the whole path.  The approximation takes k - 1
+    # steps (the first deletes two path vertices), far more than the
+    # default recursion limit.
+    k = 1500
+    path = list(range(2, k + 2))
+    edges = [(0, p) for p in path] + [(1, p) for p in path]
+    edges += list(zip(path, path[1:]))
+    inst = Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
+    start = time.perf_counter()
+    res = approx_auto(inst, Strategy.MIN_DEGREE)
+    elapsed = time.perf_counter() - start
+    assert res.cut.members == tuple(path)
+    assert res.lower_bound == k - 1
+    assert elapsed < 30.0, f"k={k} took {elapsed:.1f}s"

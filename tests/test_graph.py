@@ -55,6 +55,21 @@ def test_hop_distance_cap():
     assert hop_distance(Graph.from_edges(2, []), 0, 1) is None
 
 
+def test_hop_distance_within_matches_induced_subgraph():
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        s, t = rng.sample(range(n), 2)
+        within = {s, t} | {v for v in range(n) if rng.random() < 0.6}
+        sub = g.induced(within)
+        for cap in (None, 1, 2, rng.randint(0, n)):
+            assert (hop_distance(g, s, t, cap, within=within)
+                    == hop_distance(sub, s, t, cap))
+    with pytest.raises(GraphError):
+        hop_distance(PATH4, 0, 3, within={0, 1, 2})
+
+
 def test_remove_edge_splits_path():
     g2 = remove(PATH4, CutSet(Variant.EDGE, ((1, 2),)))
     assert hop_distance(g2, 0, 3) is None
