@@ -12,12 +12,12 @@ from .csp import (Assignment, Constraint, CspInstance, CspSolution,
                   constraint_graph, cut_to_assignment, decode_edge,
                   decode_vertex, encode_edge_cut, encode_vertex_cut,
                   violated_soft_count)
-from .dp import solve_exact_cut, solve_exact_cut_detailed, solve_min_csp
+from .dp import solve_exact_cut, solve_min_csp
 from .errors import (BudgetExceeded, DecompositionMismatch, GraphError,
                      InvalidAssignment, InvalidCut, InvalidDecomposition,
                      LbcutError, NoVertexCut, ParseError, ResourceExceeded,
                      UsageError)
-from .fpt import PruneResult, prune_to_relevant, solve_fpt, solve_fpt_detailed
+from .fpt import PruneResult, prune_to_relevant, solve_fpt
 from .graph import (CutSet, DistanceVector, Graph, Instance, Variant,
                     VerifyResult, bfs_distances, hop_distance, min_edge_cut,
                     min_vertex_cut, remove, verify_cut)

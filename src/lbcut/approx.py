@@ -67,9 +67,16 @@ class TraceEvent:
 @dataclass(frozen=True)
 class ApproxResult:
     cut: CutSet
-    lower_bound: int
-    width_used: int
     trace: tuple[TraceEvent, ...]
+
+    # Read through to the cut; the benchmark still reads them here.
+    @property
+    def lower_bound(self) -> int:
+        return self.cut.lower_bound
+
+    @property
+    def width_used(self) -> int:
+        return self.cut.width_used
 
 
 def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
@@ -123,12 +130,12 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
             trace.append(TraceEvent("leaf-mincut", removed=cut.members))
             members.update(cut.members)
 
-    lower_bound = len(trace)
     cut = CutSet(Variant.VERTEX, tuple(sorted(members)),
-                 lower_bound=lower_bound, algorithm="approx")
+                 lower_bound=len(trace), algorithm="approx",
+                 width_used=width(td))
     if not verify_cut(inst, cut).feasible:
         raise LbcutError("approximation returned an infeasible cut; solver bug")
-    return ApproxResult(cut, lower_bound, width(td), tuple(trace))
+    return ApproxResult(cut, tuple(trace))
 
 
 def approx_auto(inst: Instance,

@@ -12,14 +12,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .approx import approx_auto, approx_vertex_cut
 from .dp import TABLE_BUDGET
 from .errors import LbcutError, NoVertexCut, ResourceExceeded, UsageError
-from .fpt import solve_fpt_detailed
+from .fpt import solve_fpt
 from .graph import (CutSet, Graph, Instance, Variant, min_edge_cut,
                     min_vertex_cut, verify_cut)
 from .io import GENERATOR_KINDS, generate, load_instance
@@ -32,50 +31,26 @@ CSV_COLUMNS = ("instance", "algo", "size", "lower_bound", "width_used",
                "elapsed_ms", "ratio_vs_oracle", "error")
 
 
-@dataclass
-class RunReport:
-    algorithm: str
-    variant: str
-    L: int
-    cut: list
-    size: int
-    feasible: bool
-    lower_bound: Optional[int]
-    width_used: Optional[int]
-    elapsed_ms: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "algorithm": self.algorithm,
-            "variant": self.variant,
-            "L": self.L,
-            "cut": self.cut,
-            "size": self.size,
-            "feasible": self.feasible,
-            "lower_bound": self.lower_bound,
-            "width_used": self.width_used,
-            "elapsed_ms": self.elapsed_ms,
-        })
-
-    def to_text(self) -> str:
-        if self.cut and isinstance(self.cut[0], list):
-            shown = " ".join(f"{u}-{v}" for u, v in self.cut)
-        else:
-            shown = " ".join(str(v) for v in self.cut)
-        lines = [
-            f"algorithm: {self.algorithm}",
-            f"variant: {self.variant}",
-            f"L: {self.L}",
-            f"cut: {shown}",
-            f"size: {self.size}",
-            f"feasible: {str(self.feasible).lower()}",
-        ]
-        if self.lower_bound is not None:
-            lines.append(f"lower_bound: {self.lower_bound}")
-        if self.width_used is not None:
-            lines.append(f"width_used: {self.width_used}")
-        lines.append(f"elapsed_ms: {self.elapsed_ms:.3f}")
-        return "\n".join(lines)
+def _report_text(report: dict) -> str:
+    cut = report["cut"]
+    if cut and isinstance(cut[0], list):
+        shown = " ".join(f"{u}-{v}" for u, v in cut)
+    else:
+        shown = " ".join(str(v) for v in cut)
+    lines = [
+        f"algorithm: {report['algorithm']}",
+        f"variant: {report['variant']}",
+        f"L: {report['L']}",
+        f"cut: {shown}",
+        f"size: {report['size']}",
+        f"feasible: {str(report['feasible']).lower()}",
+    ]
+    if report["lower_bound"] is not None:
+        lines.append(f"lower_bound: {report['lower_bound']}")
+    if report["width_used"] is not None:
+        lines.append(f"width_used: {report['width_used']}")
+    lines.append(f"elapsed_ms: {report['elapsed_ms']:.3f}")
+    return "\n".join(lines)
 
 
 def _external_members(cut: CutSet) -> list:
@@ -99,28 +74,22 @@ def _load_td(path: str, g: Graph):
 
 
 def _run_algorithm(algo: str, inst: Instance, td, args):
-    """Returns (cut, lower_bound, width_used) or UNKNOWN for a blown budget."""
+    """Returns the cut, or UNKNOWN for a blown brute-force budget."""
     if algo == "exact":
-        run = solve_fpt_detailed(inst, td, strategy=Strategy(args.strategy),
-                                 table_budget=args.table_budget)
-        return run.cut, run.cut.lower_bound, run.width_used
+        return solve_fpt(inst, td, strategy=Strategy(args.strategy),
+                         table_budget=args.table_budget)
     if algo == "approx":
         if inst.variant is not Variant.EDGE:
             res = (approx_vertex_cut(inst, td) if td is not None
                    else approx_auto(inst, Strategy(args.strategy)))
-            return res.cut, res.lower_bound, res.width_used
+            return res.cut
         raise UsageError("approx supports the vertex variant only")
     if algo == "brute":
-        res = brute_force_cut(inst, max_size=args.max_size)
-        if res is UNKNOWN:
-            return UNKNOWN
-        return res, res.lower_bound, None
+        return brute_force_cut(inst, max_size=args.max_size)
     if algo == "mincut-baseline":
         if inst.variant is Variant.EDGE:
-            cut = min_edge_cut(inst.graph, inst.s, inst.t)
-        else:
-            cut = min_vertex_cut(inst.graph, inst.s, inst.t)
-        return cut, None, None
+            return min_edge_cut(inst.graph, inst.s, inst.t)
+        return min_vertex_cut(inst.graph, inst.s, inst.t)
     if algo == "auto":
         try:
             return _run_algorithm("exact", inst, td, args)
@@ -139,21 +108,26 @@ def cmd_solve(args) -> int:
     td = _load_td(args.td, g) if args.td else None
 
     start = time.perf_counter()
-    outcome = _run_algorithm(args.algo, inst, td, args)
+    cut = _run_algorithm(args.algo, inst, td, args)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if outcome is UNKNOWN:
+    if cut is UNKNOWN:
         print(f"no cut of size <= {args.max_size} found; status unknown",
               file=sys.stderr)
         return 2
-    cut, lower_bound, width_used = outcome
 
     feasible = verify_cut(inst, cut).feasible  # independent re-check
-    report = RunReport(
-        algorithm=cut.algorithm or args.algo, variant=variant.value,
-        L=inst.L, cut=_external_members(cut), size=cut.size,
-        feasible=feasible, lower_bound=lower_bound, width_used=width_used,
-        elapsed_ms=elapsed_ms)
-    print(report.to_json() if args.json else report.to_text())
+    report = {
+        "algorithm": cut.algorithm or args.algo,
+        "variant": variant.value,
+        "L": inst.L,
+        "cut": _external_members(cut),
+        "size": cut.size,
+        "feasible": feasible,
+        "lower_bound": cut.lower_bound,
+        "width_used": cut.width_used,
+        "elapsed_ms": elapsed_ms,
+    }
+    print(json.dumps(report) if args.json else _report_text(report))
     if not feasible:
         print("error: solver returned an infeasible cut", file=sys.stderr)
         return 1
@@ -210,24 +184,23 @@ def _bench_row(name: str, algo: str, inst: Instance, args,
     row["algo"] = algo
     start = time.perf_counter()
     try:
-        outcome = _run_algorithm(algo, inst, None, args)
+        cut = _run_algorithm(algo, inst, None, args)
     except LbcutError as exc:
         row["error"] = str(exc)
         row["elapsed_ms"] = f"{(time.perf_counter() - start) * 1000.0:.3f}"
         return row
     row["elapsed_ms"] = f"{(time.perf_counter() - start) * 1000.0:.3f}"
-    if outcome is UNKNOWN:
+    if cut is UNKNOWN:
         row["error"] = f"unknown within max size {args.max_size}"
         return row
-    cut, lower_bound, width_used = outcome
     if not verify_cut(inst, cut).feasible:
         row["error"] = "infeasible result"
         return row
     row["size"] = str(cut.size)
-    if lower_bound is not None:
-        row["lower_bound"] = str(lower_bound)
-    if width_used is not None:
-        row["width_used"] = str(width_used)
+    if cut.lower_bound is not None:
+        row["lower_bound"] = str(cut.lower_bound)
+    if cut.width_used is not None:
+        row["width_used"] = str(cut.width_used)
     if oracle_size is not None:
         if oracle_size > 0:
             row["ratio_vs_oracle"] = f"{cut.size / oracle_size:.4f}"
@@ -323,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", default="exact",
                          help="comma-separated subset of " + ",".join(ALGORITHMS))
     p_bench.add_argument("--output", "-o", help="CSV path (default stdout)")
-    p_bench.add_argument("--oracle-max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p_bench.add_argument("--oracle-max-size", type=int, default=DEFAULT_MAX_SIZE,
+                         help="largest cut the oracle tries; 0 checks only "
+                              "the empty cut")
     p_bench.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     p_bench.add_argument("--strategy", default="min-fill",
                          choices=[s.value for s in Strategy])

@@ -10,7 +10,6 @@ unit cost onto unary constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidAssignment, InvalidCut, NoVertexCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances, remove,
@@ -82,18 +81,6 @@ def violated_soft_count(q: CspInstance, z: Assignment) -> int:
 
 def satisfies_all_hard(q: CspInstance, z: Assignment) -> bool:
     return all(c.satisfied_by(z) for c in q.hard)
-
-
-def check_assignment(q: CspInstance, z: Assignment) -> None:
-    """Raise InvalidAssignment unless z is in-domain and hard-feasible."""
-    if len(z) != q.num_vars:
-        raise InvalidAssignment("assignment length mismatch")
-    for v, x in enumerate(z):
-        if x not in q.domains[v]:
-            raise InvalidAssignment(f"value {x} outside domain of variable {v}")
-    for c in q.hard:
-        if not c.satisfied_by(z):
-            raise InvalidAssignment(f"hard constraint on {c.scope} violated")
 
 
 def constraint_graph(q: CspInstance) -> Graph:

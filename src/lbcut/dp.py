@@ -18,24 +18,23 @@ aborts with ResourceExceeded before its table is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .csp import (Assignment, Constraint, CspInstance, CspSolution,
-                  decode_edge, decode_vertex, encode_edge_cut,
-                  encode_vertex_cut)
+from .csp import (Constraint, CspInstance, CspSolution, decode_edge,
+                  decode_vertex, encode_edge_cut, encode_vertex_cut)
 from .errors import (DecompositionMismatch, LbcutError, NoVertexCut,
                      ResourceExceeded)
 from .graph import CutSet, Instance, Variant, verify_cut
-from .treedec import Strategy, TreeDecomposition, build_heuristic
+from .treedec import Strategy, TreeDecomposition, build_heuristic, width
 
 TABLE_BUDGET = 1 << 26
 
 
 def _check_decomposition(q: CspInstance, td: TreeDecomposition) -> None:
-    """Raise DecompositionMismatch unless td can drive the DP for q."""
+    """Raise DecompositionMismatch unless td is a tree decomposition over q's
+    variables; ``_owners`` checks that every constraint scope is covered."""
     if td.n_nodes == 0:
         raise DecompositionMismatch("decomposition has no nodes")
     if len(td.tree_edges) != td.n_nodes - 1 or any(d is None for d in td.depth):
@@ -61,12 +60,6 @@ def _check_decomposition(q: CspInstance, td: TreeDecomposition) -> None:
         if seen != occ:
             raise DecompositionMismatch(
                 f"bags containing variable {v} do not form a subtree")
-    bag_sets = td.bag_sets()
-    for c in q.hard + q.soft:
-        scope = set(c.scope)
-        if not any(scope <= bs for bs in bag_sets):
-            raise DecompositionMismatch(
-                f"no bag covers constraint scope {c.scope}")
 
 
 def _owners(td: TreeDecomposition, constraints) -> list[int]:
@@ -141,12 +134,13 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     that appear in no bag are unconstrained and get their domain minimum.
     """
     _check_decomposition(q, td)
-    if any(len(d) == 0 for d in q.domains):
-        return None
+    # Before the empty-domain return: an uncovered scope raises regardless.
     owned: list[list[tuple[Constraint, bool]]] = [[] for _ in range(td.n_nodes)]
     for hard, cons in ((True, q.hard), (False, q.soft)):
         for c, a in zip(cons, _owners(td, cons)):
             owned[a].append((c, hard))
+    if any(len(d) == 0 for d in q.domains):
+        return None
 
     order = []
     stack = [td.root]
@@ -199,20 +193,11 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     return CspSolution(int(best_cost), values)
 
 
-@dataclass(frozen=True)
-class ExactRun:
-    cut: CutSet
-    width_used: int
-    csp_cost: int
-
-
-def solve_exact_cut_detailed(inst: Instance,
-                             td: Optional[TreeDecomposition] = None, *,
-                             strategy: Strategy = Strategy.MIN_FILL,
-                             table_budget: int = TABLE_BUDGET) -> ExactRun:
-    """Encode, solve, decode, and verify; reports the decomposition width used."""
-    from .treedec import width as td_width
-
+def solve_exact_cut(inst: Instance,
+                    td: Optional[TreeDecomposition] = None, *,
+                    strategy: Strategy = Strategy.MIN_FILL,
+                    table_budget: int = TABLE_BUDGET) -> CutSet:
+    """Optimal L-bounded cut via the CSP route, with the width it ran on."""
     if inst.variant is Variant.EDGE:
         q = encode_edge_cut(inst)
     else:
@@ -231,18 +216,10 @@ def solve_exact_cut_detailed(inst: Instance,
     else:
         decoded = decode_vertex(inst, sol.assignment)
     cut = CutSet(inst.variant, decoded.members,
-                 lower_bound=len(decoded.members), algorithm="exact-dp")
+                 lower_bound=len(decoded.members), algorithm="exact-dp",
+                 width_used=width(td))
     if not verify_cut(inst, cut).feasible:
         raise LbcutError("decoded cut failed verification; solver bug")
     if len(cut.members) != sol.cost:
         raise LbcutError("decoded cut size disagrees with the CSP cost")
-    return ExactRun(cut, td_width(td), sol.cost)
-
-
-def solve_exact_cut(inst: Instance,
-                    td: Optional[TreeDecomposition] = None, *,
-                    strategy: Strategy = Strategy.MIN_FILL,
-                    table_budget: int = TABLE_BUDGET) -> CutSet:
-    """Optimal L-bounded cut of the instance via the CSP route."""
-    return solve_exact_cut_detailed(
-        inst, td, strategy=strategy, table_budget=table_budget).cut
+    return cut

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dp import TABLE_BUDGET, solve_exact_cut_detailed
+from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError, NoVertexCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
-from .treedec import Strategy, TreeDecomposition, build_heuristic, width
+from .treedec import Strategy, TreeDecomposition, build_heuristic
 
 
 @dataclass(frozen=True)
@@ -47,28 +47,20 @@ def prune_to_relevant(inst: Instance) -> PruneResult:
     return PruneResult(sub, kept, to_sub)
 
 
-@dataclass(frozen=True)
-class FptRun:
-    cut: CutSet
-    width_used: Optional[int]
-    kept: tuple[int, ...]
-
-
-def solve_fpt_detailed(inst: Instance,
-                       td: Optional[TreeDecomposition] = None, *,
-                       strategy: Strategy = Strategy.MIN_FILL,
-                       table_budget: int = TABLE_BUDGET) -> FptRun:
+def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
+              strategy: Strategy = Strategy.MIN_FILL,
+              table_budget: int = TABLE_BUDGET) -> CutSet:
     """Prune, solve exactly on the subgraph, translate back, and re-verify.
 
     A supplied decomposition is pruned to the kept vertices and relabeled;
-    otherwise one is built heuristically on the subgraph.
+    otherwise one is built heuristically on the subgraph.  The cut's
+    ``width_used`` is None when no short path exists and nothing is solved.
     """
     g = inst.graph
     if inst.variant is Variant.VERTEX and g.has_edge(inst.s, inst.t):
         raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     if hop_distance(g, inst.s, inst.t, cap=inst.L) is None:
-        cut = CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
-        return FptRun(cut, None, ())
+        return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
 
     pr = prune_to_relevant(inst)
     sub_inst = Instance(pr.subgraph, pr.to_sub[inst.s], pr.to_sub[inst.t],
@@ -80,24 +72,17 @@ def solve_fpt_detailed(inst: Instance,
         sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
     else:
         sub_td = build_heuristic(pr.subgraph, strategy)
-    run = solve_exact_cut_detailed(sub_inst, sub_td, table_budget=table_budget)
+    sub_cut = solve_exact_cut(sub_inst, sub_td, table_budget=table_budget)
 
     if inst.variant is Variant.EDGE:
         members = tuple(norm_edge(pr.kept[u], pr.kept[v])
-                        for u, v in run.cut.members)
+                        for u, v in sub_cut.members)
     else:
-        members = tuple(pr.kept[v] for v in run.cut.members)
+        members = tuple(pr.kept[v] for v in sub_cut.members)
     cut = CutSet(inst.variant, members, lower_bound=len(members),
-                 algorithm="fpt")
+                 algorithm="fpt", width_used=sub_cut.width_used)
     if not verify_cut(inst, cut).feasible:
         raise LbcutError(
             "cut optimal for the pruned subgraph failed verification "
             "on the original graph; solver bug")
-    return FptRun(cut, run.width_used, pr.kept)
-
-
-def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
-              strategy: Strategy = Strategy.MIN_FILL,
-              table_budget: int = TABLE_BUDGET) -> CutSet:
-    return solve_fpt_detailed(
-        inst, td, strategy=strategy, table_budget=table_budget).cut
+    return cut

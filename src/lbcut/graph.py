@@ -127,14 +127,17 @@ class CutSet:
     """A set of edges or vertices proposed as an L-bounded cut.
 
     ``lower_bound``, when set, is a certified lower bound on the optimum of
-    the instance the cut was computed for.  Metadata fields do not take part
-    in equality.
+    the instance the cut was computed for.  ``width_used``, when set, is the
+    width of the tree decomposition the solver ran on; the approximation's
+    guarantee ``size <= width_used * lower_bound`` is stated in it.  Metadata
+    fields do not take part in equality.
     """
 
     variant: Variant
     members: tuple
     lower_bound: Optional[int] = field(default=None, compare=False)
     algorithm: str = field(default="", compare=False)
+    width_used: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.variant is Variant.EDGE:

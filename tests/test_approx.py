@@ -33,6 +33,8 @@ def test_diamond_prune_branch():
     assert set(kinds) <= {"prune", "leaf-mincut"}
     # width 2 decomposition, optimum 2: the ratio bound holds with room
     assert res.cut.size <= res.width_used * res.lower_bound
+    assert res.cut.width_used == width(td)
+    assert res.lower_bound == res.cut.lower_bound
 
 
 def test_fallback_fixture_reaches_gap_case():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,75 @@ def test_solve_exact_json(path_graph, capsys):
     assert report["algorithm"] == "fpt"
     assert report["lower_bound"] == 1
     assert report["elapsed_ms"] >= 0
+
+
+# Full stdout of `solve` and `bench`, with elapsed_ms masked.
+SOLVE_GOLDEN = [
+    (["--variant", "edge", "--algo", "exact"],
+     "algorithm: fpt\nvariant: edge\nL: 3\ncut: 3-4\nsize: 1\n"
+     "feasible: true\nlower_bound: 1\nwidth_used: 1\nelapsed_ms: <ms>\n"),
+    (["--variant", "edge", "--algo", "exact", "--json"],
+     '{"algorithm": "fpt", "variant": "edge", "L": 3, "cut": [[3, 4]], '
+     '"size": 1, "feasible": true, "lower_bound": 1, "width_used": 1, '
+     '"elapsed_ms": <ms>}\n'),
+    (["--variant", "edge", "--algo", "brute"],
+     "algorithm: brute-force\nvariant: edge\nL: 3\ncut: 1-2\nsize: 1\n"
+     "feasible: true\nlower_bound: 1\nelapsed_ms: <ms>\n"),
+    (["--variant", "edge", "--algo", "brute", "--json"],
+     '{"algorithm": "brute-force", "variant": "edge", "L": 3, '
+     '"cut": [[1, 2]], "size": 1, "feasible": true, "lower_bound": 1, '
+     '"width_used": null, "elapsed_ms": <ms>}\n'),
+    (["--variant", "vertex", "--algo", "approx", "--td"],
+     "algorithm: approx\nvariant: vertex\nL: 3\ncut: 2\nsize: 1\n"
+     "feasible: true\nlower_bound: 1\nwidth_used: 1\nelapsed_ms: <ms>\n"),
+    (["--variant", "vertex", "--algo", "approx", "--td", "--json"],
+     '{"algorithm": "approx", "variant": "vertex", "L": 3, "cut": [2], '
+     '"size": 1, "feasible": true, "lower_bound": 1, "width_used": 1, '
+     '"elapsed_ms": <ms>}\n'),
+    (["--variant", "edge", "--algo", "mincut-baseline"],
+     "algorithm: min-edge-cut\nvariant: edge\nL: 3\ncut: 1-2\nsize: 1\n"
+     "feasible: true\nelapsed_ms: <ms>\n"),
+]
+
+
+def _mask_elapsed(out: str) -> str:
+    out = re.sub(r'(elapsed_ms"?: )[0-9.e+-]+', r"\1<ms>", out)
+    return re.sub(r"^((?:[^,\n]*,){5})[0-9.]+,", r"\1<ms>,", out, flags=re.M)
+
+
+@pytest.mark.parametrize("flags,expected", SOLVE_GOLDEN,
+                         ids=[" ".join(f[1:]) for f, _ in SOLVE_GOLDEN])
+def test_solve_output_golden(path_graph, tmp_path, capsys, flags, expected):
+    if "--td" in flags:
+        td_file = tmp_path / "path.td"
+        td_file.write_text("s td 4 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4\n"
+                           "1 2\n2 3\n3 4\n")
+        i = flags.index("--td") + 1
+        flags = flags[:i] + [str(td_file)] + flags[i:]
+    code, out, _ = run(capsys, [
+        "solve", "--graph", str(path_graph), "--source", "1", "--sink", "4",
+        "--length", "3", *flags])
+    assert code == 0
+    assert _mask_elapsed(out) == expected
+
+
+def test_bench_output_golden(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_cycle5.lbcut").write_text(generate("cycle", [5]))
+    code, out, _ = run(capsys, [
+        "bench", "--corpus", str(corpus), "--source", "1", "--sink", "3",
+        "--length", "2", "--variant", "vertex", "--algos",
+        "exact,approx,brute,mincut-baseline"])
+    assert code == 0
+    assert _mask_elapsed(out).splitlines() == [
+        "instance,algo,size,lower_bound,width_used,elapsed_ms,"
+        "ratio_vs_oracle,error",
+        "a_cycle5.lbcut,exact,1,1,1,<ms>,1.0000,",
+        "a_cycle5.lbcut,approx,2,1,2,<ms>,2.0000,",
+        "a_cycle5.lbcut,brute,1,1,,<ms>,1.0000,",
+        "a_cycle5.lbcut,mincut-baseline,2,,,<ms>,2.0000,",
+    ]
 
 
 def test_solve_large_length_needs_full_disconnection(path_graph, capsys):
@@ -203,7 +273,7 @@ def test_infeasible_solver_output_fails_closed(path_graph, capsys, monkeypatch):
     import lbcut.cli as climod
 
     def bogus(algo, inst, td, args):
-        return (CutSet(Variant.EDGE, ()), None, None)
+        return CutSet(Variant.EDGE, ())
 
     monkeypatch.setattr(climod, "_run_algorithm", bogus)
     code, out, err = run(capsys, [

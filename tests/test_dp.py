@@ -45,10 +45,14 @@ def test_dp_no_soft_constraints():
 
 
 def test_dp_scope_not_covered():
-    q = CspInstance(2, ((0,), (0,)), (Constraint((0, 1), frozenset({(0, 0)})),), ())
     td = TreeDecomposition(((0,), (1,)), frozenset({(0, 1)}))
-    with pytest.raises(DecompositionMismatch):
-        solve_min_csp(q, td)
+    # The second input has an empty domain: an uncovered scope must still
+    # raise rather than report the CSP infeasible.
+    for domains, allowed in ((((0,), (0,)), frozenset({(0, 0)})),
+                             (((0,), ()), frozenset())):
+        q = CspInstance(2, domains, (Constraint((0, 1), allowed),), ())
+        with pytest.raises(DecompositionMismatch):
+            solve_min_csp(q, td)
 
 
 def test_dp_rejects_non_tree():

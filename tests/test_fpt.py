@@ -5,7 +5,7 @@ import pytest
 from lbcut import (Graph, Instance, NoVertexCut, UNKNOWN, Variant,
                    bfs_distances, brute_force_cut, build_heuristic,
                    hop_distance, prune_to_relevant, solve_exact_cut,
-                   solve_fpt, solve_fpt_detailed)
+                   solve_fpt)
 
 from conftest import grid_graph, subdivide
 
@@ -29,8 +29,9 @@ def test_prune_keeps_everything_for_large_L():
 
 def test_short_circuit_when_terminals_far():
     inst = Instance(PATH4, 0, 3, 2, Variant.EDGE)
-    run = solve_fpt_detailed(inst)
-    assert run.cut.members == () and run.width_used is None
+    cut = solve_fpt(inst)
+    assert cut.members == () and cut.width_used is None
+    assert prune_to_relevant(inst).kept == ()
     disconnected = Instance(Graph.from_edges(2, []), 0, 1, 5, Variant.EDGE)
     assert solve_fpt(disconnected).members == ()
 
@@ -139,7 +140,7 @@ def test_supplied_decomposition_is_pruned_and_used():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     td = build_heuristic(g)
     inst = Instance(g, 0, 3, 3, Variant.EDGE)
-    run = solve_fpt_detailed(inst, td)
-    assert run.cut.size == 1
-    assert run.kept == (0, 1, 2, 3)
-    assert run.width_used is not None
+    cut = solve_fpt(inst, td)
+    assert cut.size == 1
+    assert prune_to_relevant(inst).kept == (0, 1, 2, 3)
+    assert cut.width_used == 1
