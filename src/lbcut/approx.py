@@ -89,9 +89,6 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     if not check.ok:
         raise InvalidDecomposition(check.violation)
     bag_sets = td.bag_sets()
-    if not set().union(*bag_sets) <= inst.graph.vertices:
-        raise InvalidDecomposition(
-            "bags contain vertices that are not in the graph")
 
     g, s, t, L = inst.graph, inst.s, inst.t, inst.L
     both = sorted((a for a in range(td.n_nodes) if {s, t} <= bag_sets[a]),

@@ -57,14 +57,19 @@ class CspInstance:
         for d in self.domains:
             if list(d) != sorted(set(d)):
                 raise InvalidAssignment("domains must be sorted and duplicate-free")
+        checked = set()  # (relation, scope domains) pairs already checked
         for c in self.hard + self.soft:
             if c.scope[0] < 0 or c.scope[-1] >= self.num_vars:
                 raise InvalidAssignment(f"scope {c.scope} out of range")
+            doms = tuple(self.domains[v] for v in c.scope)
+            if (c.allowed, doms) in checked:
+                continue
+            checked.add((c.allowed, doms))
             for t in c.allowed:
                 if len(t) != len(c.scope):
                     raise InvalidAssignment("allowed tuple arity mismatch")
-                for v, x in zip(c.scope, t):
-                    if x not in self.domains[v]:
+                for v, d, x in zip(c.scope, doms, t):
+                    if x not in d:
                         raise InvalidAssignment(
                             f"allowed value {x} outside domain of variable {v}")
 
@@ -119,11 +124,14 @@ def encode_vertex_cut(inst: Instance) -> CspInstance:
                     for v in range(inst.graph.n))
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
+    relations = {}  # one per (domains[u], domains[v]) pair: at most 3
     for u, v in sorted(inst.graph.edges):
-        allowed = frozenset(
-            (a, b) for a in domains[u] for b in domains[v]
-            if a == -1 or b == -1 or abs(a - b) <= 1)
-        hard.append(Constraint((u, v), allowed))
+        key = (domains[u], domains[v])
+        if key not in relations:
+            relations[key] = frozenset(
+                (a, b) for a in key[0] for b in key[1]
+                if a == -1 or b == -1 or abs(a - b) <= 1)
+        hard.append(Constraint((u, v), relations[key]))
     kept = frozenset((x,) for x in base)
     soft = tuple(Constraint((v,), kept)
                  for v in inst.graph.sorted_vertices() if v not in (inst.s, inst.t))

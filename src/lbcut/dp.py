@@ -1,7 +1,9 @@
 """Minimum-cost CSP solving by dynamic programming over a tree decomposition.
 
 Every constraint, hard or soft, is charged at exactly one owner node: the
-topmost bag containing its whole scope.  Bottom-up over the rooted tree,
+topmost bag containing its whole scope, which is the deepest of its
+variables' top nodes (``treedec.top_nodes``); if that node's bag lacks the
+scope, no bag holds it.  Bottom-up over the rooted tree,
 each node's table is one numpy array with an axis per bag variable, in bag
 order, sized by that variable's domain.  Each owned constraint adds its
 penalty array over its scope, broadcast across the bag: 0 where allowed, 1
@@ -24,61 +26,47 @@ import numpy as np
 
 from .csp import (Constraint, CspInstance, CspSolution, decode_edge,
                   decode_vertex, encode_edge_cut, encode_vertex_cut)
-from .errors import (DecompositionMismatch, LbcutError, NoVertexCut,
-                     ResourceExceeded)
+from .errors import (DecompositionMismatch, InvalidDecomposition, LbcutError,
+                     NoVertexCut, ResourceExceeded)
 from .graph import CutSet, Instance, Variant, verify_cut
-from .treedec import Strategy, TreeDecomposition, build_heuristic, width
+from .treedec import (Strategy, TreeDecomposition, build_heuristic, top_nodes,
+                      width)
 
 TABLE_BUDGET = 1 << 26
 
 
-def _check_decomposition(q: CspInstance, td: TreeDecomposition) -> None:
-    """Raise DecompositionMismatch unless td is a tree decomposition over q's
-    variables; ``_owners`` checks that every constraint scope is covered."""
-    if td.n_nodes == 0:
-        raise DecompositionMismatch("decomposition has no nodes")
-    if len(td.tree_edges) != td.n_nodes - 1 or any(d is None for d in td.depth):
-        raise DecompositionMismatch("decomposition is not a tree")
-    occurrences: dict[int, set[int]] = {}
-    for a, bag in enumerate(td.bags):
-        for v in bag:
-            if not 0 <= v < q.num_vars:
-                raise DecompositionMismatch(
-                    f"bag {a} references unknown variable {v}")
-            occurrences.setdefault(v, set()).add(a)
-    for v, occ in occurrences.items():
-        seen = set()
-        stack = [next(iter(occ))]
-        while stack:
-            a = stack.pop()
-            if a in seen:
-                continue
-            seen.add(a)
-            for b in list(td.children[a]) + ([td.parent[a]] if td.parent[a] is not None else []):
-                if b in occ and b not in seen:
-                    stack.append(b)
-        if seen != occ:
+def _top_nodes(q: CspInstance, td: TreeDecomposition) -> dict[int, int]:
+    """``treedec.top_nodes`` of a decomposition over q's variables; raises
+    DecompositionMismatch unless td is one."""
+    try:
+        top = top_nodes(td)
+    except InvalidDecomposition as exc:
+        raise DecompositionMismatch(str(exc)) from None
+    for v, a in top.items():
+        if not 0 <= v < q.num_vars:
             raise DecompositionMismatch(
-                f"bags containing variable {v} do not form a subtree")
+                f"bag {a} references unknown variable {v}")
+    return top
 
 
-def _owners(td: TreeDecomposition, constraints) -> list[int]:
-    """Owner node of each constraint: the topmost bag covering its scope."""
-    bag_sets = td.bag_sets()
+def _owners(td: TreeDecomposition, top: dict[int, int],
+            constraints) -> list[int]:
+    """Owner node of each constraint: the deepest top node among its scope's
+    variables, the topmost node whose bag holds the whole scope."""
     owners = []
     for c in constraints:
-        scope = set(c.scope)
-        covering = [a for a, bs in enumerate(bag_sets) if scope <= bs]
-        if not covering:
+        tops = [top.get(v) for v in c.scope]
+        a = None if None in tops else max(tops, key=td.depth.__getitem__)
+        if a is None or any(v not in td.bags[a] for v in c.scope):
             raise DecompositionMismatch(
                 f"no bag covers constraint scope {c.scope}")
-        owners.append(min(covering, key=lambda a: (td.depth[a], a)))
+        owners.append(a)
     return owners
 
 
 def soft_owners(q: CspInstance, td: TreeDecomposition) -> list[int]:
-    """Owner node of each soft constraint: the topmost bag covering its scope."""
-    return _owners(td, q.soft)
+    """Owner node of each soft constraint: the topmost bag holding its scope."""
+    return _owners(td, _top_nodes(q, td), q.soft)
 
 
 def _penalty(q: CspInstance, c: Constraint, hard: bool,
@@ -129,31 +117,23 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
                   table_budget: int = TABLE_BUDGET) -> Optional[CspSolution]:
     """Minimize violated soft constraints; None iff hard-infeasible.
 
-    ``td`` must be a tree decomposition of the constraint graph covering
-    every constraint scope (DecompositionMismatch otherwise).  Variables
+    ``td`` must be a tree decomposition of the constraint graph whose bags
+    hold every constraint scope (DecompositionMismatch otherwise).  Variables
     that appear in no bag are unconstrained and get their domain minimum.
     """
-    _check_decomposition(q, td)
+    top = _top_nodes(q, td)
     # Before the empty-domain return: an uncovered scope raises regardless.
     owned: list[list[tuple[Constraint, bool]]] = [[] for _ in range(td.n_nodes)]
     for hard, cons in ((True, q.hard), (False, q.soft)):
-        for c, a in zip(cons, _owners(td, cons)):
+        for c, a in zip(cons, _owners(td, top, cons)):
             owned[a].append((c, hard))
     if any(len(d) == 0 for d in q.domains):
         return None
 
-    order = []
-    stack = [td.root]
-    while stack:
-        a = stack.pop()
-        order.append(a)
-        stack.extend(td.children[a])
-
     penalties: dict = {}
     costs: dict[int, np.ndarray] = {}
-    # Per node, (child, *back-pointer) for each joined child; see _message.
-    links: list[list[tuple]] = [[] for _ in range(td.n_nodes)]
-    for a in reversed(order):
+    backs: list[tuple] = []  # one per joined child, see _message
+    for a in reversed(td.order):
         bag = td.bags[a]
         shape = tuple(len(q.domains[v]) for v in bag)
         size = math.prod(shape)
@@ -168,7 +148,7 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
         for ch in td.children[a]:
             msg, back = _message(costs.pop(ch), td.bags[ch], set(bag))
             cost += msg.reshape(_spread(bag, shape, back[0]))
-            links[a].append((ch, *back))
+            backs.append(back)
         costs[a] = cost
 
     root = costs.pop(td.root)
@@ -180,14 +160,12 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     pos: list[Optional[int]] = [None] * q.num_vars
     for v, p in zip(td.bags[td.root], np.unravel_index(best, root.shape)):
         pos[v] = p
-    walk = [td.root]
-    while walk:
-        a = walk.pop()
-        for ch, sep, rest, rest_shape, arg in links[a]:
-            k = arg[tuple(pos[v] for v in sep)]
-            for v, p in zip(rest, np.unravel_index(k, rest_shape)):
-                pos[v] = p
-            walk.append(ch)
+    # Joins ran children before parents, so reversed, every separator's
+    # variables are set before its back-pointer is read.
+    for sep, rest, rest_shape, arg in reversed(backs):
+        k = arg[tuple(pos[v] for v in sep)]
+        for v, p in zip(rest, np.unravel_index(k, rest_shape)):
+            pos[v] = p
     values = tuple(d[0 if p is None else int(p)]
                    for d, p in zip(q.domains, pos))
     return CspSolution(int(best_cost), values)

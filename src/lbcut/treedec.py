@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -23,7 +22,8 @@ class TreeDecomposition:
     The structure is not required to be a valid decomposition of any
     particular graph at construction time; ``validate`` checks the axioms.
     parent/children/depth are derived from the root (None for nodes that a
-    broken ``tree_edges`` leaves unreachable).
+    broken ``tree_edges`` leaves unreachable); ``order`` lists the reachable
+    nodes root first, breadth first, so every parent precedes its children.
     """
 
     bags: tuple[tuple[int, ...], ...]
@@ -32,6 +32,7 @@ class TreeDecomposition:
     parent: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
     children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     depth: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bags = tuple(tuple(sorted(set(b))) for b in self.bags)
@@ -53,20 +54,20 @@ class TreeDecomposition:
         parent: list[Optional[int]] = [None] * k
         depth: list[Optional[int]] = [None] * k
         children: list[list[int]] = [[] for _ in range(k)]
+        order = [self.root] if k else []
         if k:
             depth[self.root] = 0
-            queue = deque([self.root])
-            while queue:
-                a = queue.popleft()
-                for b in sorted(adj[a]):
-                    if depth[b] is None and b != self.root:
-                        parent[b] = a
-                        depth[b] = depth[a] + 1
-                        children[a].append(b)
-                        queue.append(b)
+        for a in order:  # grows while it is walked: a breadth-first queue
+            for b in sorted(adj[a]):
+                if depth[b] is None:
+                    parent[b] = a
+                    depth[b] = depth[a] + 1
+                    children[a].append(b)
+                    order.append(b)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "depth", tuple(depth))
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def n_nodes(self) -> int:
@@ -88,50 +89,62 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
 
 
-def validate(td: TreeDecomposition, g: Graph) -> ValidationResult:
-    """Check the tree structure and the three decomposition axioms for g."""
+def top_nodes(td: TreeDecomposition) -> dict[int, int]:
+    """Map every bag vertex to its top node: the node whose bag holds it
+    while its parent's bag (if it has a parent) does not.
+
+    In a rooted tree, each connected component of a set of nodes has
+    exactly one node whose parent lies outside the set (or which is the
+    root): its highest node.  So a vertex has one top node per component
+    of the nodes whose bags hold it, and these form a subtree exactly when
+    it has one top node, which is then an ancestor of all of them.
+    Hence two such subtrees meet exactly when the deeper of their top
+    nodes lies in both: any common node has both tops as ancestors, and
+    the path from the higher top to it passes through the deeper one.
+
+    Raises InvalidDecomposition if the tree edges do not form a tree over
+    the nodes, or if a vertex has two top nodes.
+    """
     k = td.n_nodes
     if k == 0:
-        return ValidationResult(False, "decomposition has no nodes")
+        raise InvalidDecomposition("decomposition has no nodes")
     if len(td.tree_edges) != k - 1:
-        return ValidationResult(
-            False, f"{len(td.tree_edges)} tree edges over {k} nodes is not a tree")
-    if any(d is None for d in td.depth):
-        return ValidationResult(False, "tree edges do not connect all nodes")
+        raise InvalidDecomposition(
+            f"{len(td.tree_edges)} tree edges over {k} nodes is not a tree")
+    if len(td.order) != k:
+        raise InvalidDecomposition("tree edges do not connect all nodes")
+    bag_sets = td.bag_sets()
+    top: dict[int, int] = {}
+    for a in td.order:
+        p = td.parent[a]
+        for v in td.bags[a]:
+            if p is None or v not in bag_sets[p]:
+                if v in top:
+                    raise InvalidDecomposition(
+                        f"bags containing vertex {v} do not form a subtree")
+                top[v] = a
+    return top
 
-    nodes_with: dict[int, list[int]] = {}
-    for a, bag in enumerate(td.bags):
-        for v in bag:
-            nodes_with.setdefault(v, []).append(a)
 
+def validate(td: TreeDecomposition, g: Graph) -> ValidationResult:
+    """Check the tree structure and the three decomposition axioms for g,
+    and that every bag vertex is a vertex of g."""
+    try:
+        top = top_nodes(td)
+    except InvalidDecomposition as exc:
+        return ValidationResult(False, str(exc))
     for v in g.sorted_vertices():
-        if v not in nodes_with:
+        if v not in top:
             return ValidationResult(False, f"vertex {v} appears in no bag")
-    for u, v in sorted(g.edges):
-        if not set(nodes_with[u]) & set(nodes_with[v]):
-            return ValidationResult(False, f"edge ({u},{v}) is covered by no bag")
-    for v in g.sorted_vertices():
-        occ = set(nodes_with[v])
-        start = next(iter(occ))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in _tree_neighbors(td, a):
-                if b in occ and b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        if seen != occ:
+    for v in sorted(top):
+        if v not in g.vertices:
             return ValidationResult(
-                False, f"bags containing vertex {v} do not form a subtree")
+                False, f"bag vertex {v} is not a vertex of the graph")
+    for u, v in sorted(g.edges):
+        a = max(top[u], top[v], key=td.depth.__getitem__)
+        if u not in td.bags[a] or v not in td.bags[a]:
+            return ValidationResult(False, f"edge ({u},{v}) is covered by no bag")
     return ValidationResult(True)
-
-
-def _tree_neighbors(td: TreeDecomposition, a: int) -> list[int]:
-    out = list(td.children[a])
-    if td.parent[a] is not None:
-        out.append(td.parent[a])
-    return out
 
 
 def _fill_in(work: dict[int, set[int]], v: int) -> int:
@@ -245,14 +258,8 @@ def prune_decomposition(td: TreeDecomposition, g: Graph,
 
 def subtree_vertex_sets(td: TreeDecomposition) -> tuple[frozenset[int], ...]:
     """For every node a, the union of bags over the subtree rooted at a."""
-    order = []
-    stack = [td.root]
-    while stack:
-        a = stack.pop()
-        order.append(a)
-        stack.extend(td.children[a])
     sets: list[frozenset[int]] = [frozenset()] * td.n_nodes
-    for a in reversed(order):
+    for a in reversed(td.order):
         acc = set(td.bags[a])
         for c in td.children[a]:
             acc |= sets[c]

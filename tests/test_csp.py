@@ -3,8 +3,9 @@ from itertools import combinations, product
 
 import pytest
 
-from lbcut import (CutSet, Graph, Instance, InvalidAssignment, InvalidCut,
-                   NoVertexCut, Variant, brute_force_csp, brute_force_cut,
+from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
+                   InvalidAssignment, InvalidCut, NoVertexCut, Variant,
+                   brute_force_csp, brute_force_cut,
                    constraint_graph, cut_to_assignment, decode_edge,
                    decode_vertex, encode_edge_cut, encode_vertex_cut,
                    verify_cut, violated_soft_count)
@@ -171,3 +172,35 @@ def test_min_csp_cost_equals_min_cut_size_spotcheck():
             q = (encode_edge_cut if variant is Variant.EDGE
                  else encode_vertex_cut)(inst)
             assert brute_force_csp(q).cost == brute_force_cut(inst).size
+
+
+def test_csp_instance_rejects_malformed_input():
+    shared = frozenset({(0, 1)})
+    cases = [
+        ("scope may not be empty",
+         lambda: Constraint((), frozenset({()}))),
+        ("sorted and distinct",
+         lambda: Constraint((1, 0), frozenset({(0, 0)}))),
+        ("one domain required",
+         lambda: CspInstance(2, ((0,),), (), ())),
+        ("sorted and duplicate-free",
+         lambda: CspInstance(1, ((1, 0),), (), ())),
+        (r"scope \(0, 1\) out of range",
+         lambda: CspInstance(1, ((0,),),
+                             (Constraint((0, 1), frozenset({(0, 0)})),), ())),
+        ("arity mismatch",
+         lambda: CspInstance(1, ((0,),),
+                             (Constraint((0,), frozenset({(0, 0)})),), ())),
+        ("value 5 outside domain of variable 0",
+         lambda: CspInstance(1, ((0,),), (),
+                             (Constraint((0,), frozenset({(5,)})),))),
+        # One relation object on two scopes: valid on (0, 1), and invalid
+        # on (1, 2) only because variable 2's domain lacks the value 1.
+        ("value 1 outside domain of variable 2",
+         lambda: CspInstance(3, ((0,), (0, 1), (0,)),
+                             (Constraint((0, 1), shared),),
+                             (Constraint((1, 2), shared),))),
+    ]
+    for message, build in cases:
+        with pytest.raises(InvalidAssignment, match=message):
+            build()

@@ -7,8 +7,8 @@ from lbcut import (Constraint, CspInstance, DecompositionMismatch, Graph,
                    Instance, ResourceExceeded, TreeDecomposition, Variant,
                    brute_force_csp, brute_force_cut, build_heuristic,
                    constraint_graph, encode_edge_cut, encode_vertex_cut,
-                   generate, parse_instance, solve_exact_cut, solve_fpt,
-                   solve_min_csp, violated_soft_count)
+                   generate, parse_instance, rooted_at, solve_exact_cut,
+                   solve_fpt, solve_min_csp, violated_soft_count)
 from lbcut.csp import satisfies_all_hard
 from lbcut.dp import soft_owners
 
@@ -57,9 +57,14 @@ def test_dp_scope_not_covered():
 
 def test_dp_rejects_non_tree():
     q = CspInstance(2, ((0,), (0,)), (), ())
-    td = TreeDecomposition(((0,), (1,)), frozenset())
-    with pytest.raises(DecompositionMismatch):
-        solve_min_csp(q, td)
+    path = frozenset({(0, 1), (1, 2)})
+    for td in (TreeDecomposition(((0,), (1,)), frozenset()),
+               # variable 0's bags are not connected
+               TreeDecomposition(((0,), (1,), (0,)), path),
+               # variable 5 is out of range
+               TreeDecomposition(((0,), (1,), (5,)), path)):
+        with pytest.raises(DecompositionMismatch):
+            solve_min_csp(q, td)
 
 
 def test_dp_resource_budget():
@@ -83,6 +88,8 @@ def test_soft_owner_partition():
     for _ in range(40):
         q = random_csp(rng, max_vars=8, max_dom=3)
         td = decomposition_for(q)
+        # top nodes, and so owners, depend on the root
+        td = rooted_at(td, rng.randrange(td.n_nodes))
         owners = soft_owners(q, td)
         assert len(owners) == len(q.soft)
         bag_sets = td.bag_sets()

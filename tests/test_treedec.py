@@ -35,6 +35,9 @@ def test_validate_missing_vertex_and_edge():
     td2 = TreeDecomposition(((0, 1), (2,)), frozenset({(0, 1)}))
     res2 = validate(td2, PATH3)
     assert not res2.ok and "edge (1,2)" in res2.violation
+    td3 = TreeDecomposition(((0, 1), (1, 2), (2, 3)), frozenset({(0, 1), (1, 2)}))
+    res3 = validate(td3, PATH3)
+    assert not res3.ok and "vertex 3" in res3.violation
 
 
 def test_validate_disconnected_occurrences():
@@ -42,6 +45,59 @@ def test_validate_disconnected_occurrences():
     td = TreeDecomposition(((0, 1), (2,), (0,)), frozenset({(0, 1), (1, 2)}))
     res = validate(td, g)
     assert not res.ok and "subtree" in res.violation
+
+
+def _axioms_hold(td: TreeDecomposition, g: Graph) -> bool:
+    """The decomposition axioms, checked straight from their definitions on
+    a decomposition whose tree edges form a tree."""
+    bag_sets = td.bag_sets()
+    if not set().union(*bag_sets) <= g.vertices:
+        return False
+    if not all(any({u, v} <= bs for bs in bag_sets) for u, v in g.edges):
+        return False
+    adj: dict[int, set[int]] = {a: set() for a in range(td.n_nodes)}
+    for x, y in td.tree_edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    for v in g.vertices:
+        occ = {a for a, bs in enumerate(bag_sets) if v in bs}
+        if not occ:
+            return False
+        seen = {min(occ)}
+        queue = [min(occ)]
+        for a in queue:
+            for b in adj[a] & occ - seen:
+                seen.add(b)
+                queue.append(b)
+        if seen != occ:
+            return False
+    return True
+
+
+def test_validate_matches_axioms_on_random_decompositions():
+    rng = random.Random(29)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        for strategy in Strategy:
+            td = build_heuristic(g, strategy)
+            td = rooted_at(td, rng.randrange(td.n_nodes))
+            bags = [list(b) for b in td.bags]
+            a = rng.randrange(td.n_nodes)
+            change = rng.choice(("none", "drop", "add", "stray"))
+            if change == "drop" and bags[a]:
+                bags[a].remove(rng.choice(bags[a]))
+            elif change == "add":
+                bags[a].append(rng.randrange(n))
+            elif change == "stray":
+                bags[a].append(n + rng.randrange(3))
+            broken = TreeDecomposition(tuple(map(tuple, bags)), td.tree_edges,
+                                       root=td.root)
+            want = _axioms_hold(broken, g)
+            assert validate(broken, g).ok == want, (g, broken)
+            verdicts[want] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_width_examples():
