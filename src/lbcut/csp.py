@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAssignment, InvalidCut, NoVertexCut
-from .graph import (CutSet, Graph, Instance, Variant, bfs_distances, remove,
-                    verify_cut)
+from .graph import CutSet, Graph, Instance, Variant, capped_bfs, cut_blocks
 
 Assignment = tuple[int, ...]
 
@@ -27,8 +26,10 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "scope", tuple(self.scope))
-        object.__setattr__(self, "allowed",
-                           frozenset(tuple(t) for t in self.allowed))
+        if not (isinstance(self.allowed, frozenset)
+                and all(type(t) is tuple for t in self.allowed)):
+            object.__setattr__(self, "allowed",
+                               frozenset(tuple(t) for t in self.allowed))
         if not self.scope:
             raise InvalidAssignment("constraint scope may not be empty")
         if list(self.scope) != sorted(set(self.scope)):
@@ -184,18 +185,15 @@ def cut_to_assignment(inst: Instance, cut: CutSet) -> Assignment:
     Labels are min(d(s, v), L+1) in the remainder; deleted vertices (vertex
     variant) get -1, unreachable and absent vertices get L+1.
     """
-    if not verify_cut(inst, cut).feasible:
-        raise InvalidCut("cut is not feasible, no labeling exists")
-    g2 = remove(inst.graph, cut)
-    dist = bfs_distances(g2, inst.s)
+    within, blocked = cut_blocks(inst, cut)
     L = inst.L
-    deleted = set(cut.members) if inst.variant is Variant.VERTEX else set()
-    values = []
-    for v in range(inst.graph.n):
-        if v in deleted:
-            values.append(-1)
-        elif not g2.has_vertex(v) or dist[v] is None:
-            values.append(L + 1)
-        else:
-            values.append(min(dist[v], L + 1))
-    return tuple(values)
+    reached = capped_bfs(inst.graph, inst.s, L + 1, within, blocked)
+    if inst.t in reached and reached[inst.t][0] <= L:
+        raise InvalidCut("cut is not feasible, no labeling exists")
+    labels = [L + 1] * inst.graph.n
+    for v, (d, _) in reached.items():
+        labels[v] = d
+    if inst.variant is Variant.VERTEX:
+        for v in cut.members:
+            labels[v] = -1
+    return tuple(labels)

@@ -3,6 +3,10 @@
 Vertices are dense integers 0..n-1.  Induced subgraphs keep the original id
 space and mark missing vertices as absent, so cut members stay addressable
 in the parent graph.
+
+One search, ``capped_bfs``, answers every hop-distance question:
+``bfs_distances``, ``hop_distance``, ``verify_cut`` and
+``csp.cut_to_assignment`` all call it.
 """
 
 from __future__ import annotations
@@ -170,19 +174,42 @@ class VerifyResult:
     witness: Optional[tuple[int, ...]] = None
 
 
+def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
+               within: Optional[AbstractSet[int]] = None,
+               blocked: AbstractSet[Edge] = frozenset(),
+               stop: Optional[int] = None) -> dict[int, tuple[int, Optional[int]]]:
+    """BFS from ``source``; returns ``{reached vertex: (depth, parent)}``.
+
+    It goes no deeper than ``cap`` hops, enters no vertex outside ``within``,
+    crosses no (normalised) edge in ``blocked`` and returns on reaching
+    ``stop``.  Neighbours are scanned in ascending id order.
+    """
+    reached: dict[int, tuple[int, Optional[int]]] = {source: (0, None)}
+    frontier = [source]
+    depth = 0
+    while frontier and (cap is None or depth < cap):
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if (w in reached or (within is not None and w not in within)
+                        or (blocked and norm_edge(u, w) in blocked)):
+                    continue
+                reached[w] = (depth, u)
+                if w == stop:
+                    return reached
+                nxt.append(w)
+        frontier = nxt
+    return reached
+
+
 def bfs_distances(g: Graph, source: int) -> DistanceVector:
     """Hop distance from source to every vertex (None if unreachable)."""
     if not g.has_vertex(source):
         raise GraphError(f"source {source} is not a vertex of the graph")
     dist: list[Optional[int]] = [None] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    for v, (d, _) in capped_bfs(g, source).items():
+        dist[v] = d
     return DistanceVector(source, tuple(dist))
 
 
@@ -193,40 +220,35 @@ def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
     With ``within``, the search is confined to that vertex set, which gives
     the distance in ``g.induced(within)`` without building that graph.
     """
-    if not (g.has_vertex(s) and g.has_vertex(t)) or (
-            within is not None and not (s in within and t in within)):
+    if not (g.has_vertex(s) and g.has_vertex(t)):
         raise GraphError("terminals must be vertices of the graph")
-    if s == t:
-        return 0
-    seen = {s}
-    frontier = [s]
-    depth = 0
-    while frontier and (cap is None or depth < cap):
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w in seen or (within is not None and w not in within):
-                    continue
-                if w == t:
-                    return depth
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return None
+    if within is not None and not (s in within and t in within):
+        raise GraphError("terminals must lie in `within`")
+    hit = capped_bfs(g, s, cap, within, stop=t).get(t)
+    return None if hit is None else hit[0]
 
 
-def remove(g: Graph, cut: CutSet) -> Graph:
-    """The graph with cut members deleted (edges, or vertices with incident edges)."""
+def cut_blocks(inst: Instance, cut: CutSet
+               ) -> tuple[Optional[frozenset[int]], frozenset[Edge]]:
+    """The vertices a cut leaves usable (None: all) and the edges it blocks.
+
+    Raises InvalidCut when the cut does not fit the instance: another
+    variant, a terminal in a vertex cut, or a member missing from the graph.
+    """
+    if cut.variant is not inst.variant:
+        raise InvalidCut("cut variant does not match the instance")
+    g = inst.graph
     if cut.variant is Variant.EDGE:
         for e in cut.members:
             if e not in g.edges:
                 raise InvalidCut(f"edge {e} is not in the graph")
-        return g.without_edges(cut.members)
+        return None, frozenset(cut.members)
+    if inst.s in cut.members or inst.t in cut.members:
+        raise InvalidCut("a vertex cut may not contain s or t")
     for v in cut.members:
         if not g.has_vertex(v):
             raise InvalidCut(f"vertex {v} is not in the graph")
-    return g.without_vertices(cut.members)
+    return g.vertices.difference(cut.members), frozenset()
 
 
 def verify_cut(inst: Instance, cut: CutSet) -> VerifyResult:
@@ -235,47 +257,15 @@ def verify_cut(inst: Instance, cut: CutSet) -> VerifyResult:
     Infeasible results come with a concrete witness path of length <= L
     that avoids the cut.
     """
-    if cut.variant is not inst.variant:
-        raise InvalidCut("cut variant does not match the instance")
-    g, s, t, L = inst.graph, inst.s, inst.t, inst.L
-    if cut.variant is Variant.VERTEX:
-        members = set(cut.members)
-        if s in members or t in members:
-            raise InvalidCut("a vertex cut may not contain s or t")
-        for v in members:
-            if not g.has_vertex(v):
-                raise InvalidCut(f"vertex {v} is not in the graph")
-        blocked_vertices = members
-        blocked_edges: frozenset[Edge] = frozenset()
-    else:
-        for e in cut.members:
-            if e not in g.edges:
-                raise InvalidCut(f"edge {e} is not in the graph")
-        blocked_vertices = set()
-        blocked_edges = frozenset(cut.members)
-
-    # Depth-capped BFS: feasible iff t is not reached within L hops.
-    parent: dict[int, Optional[int]] = {s: None}
-    frontier = [s]
-    depth = 0
-    while frontier and depth < L:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w in blocked_vertices or w in parent:
-                    continue
-                if blocked_edges and norm_edge(u, w) in blocked_edges:
-                    continue
-                parent[w] = u
-                if w == t:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return VerifyResult(False, tuple(reversed(path)))
-                nxt.append(w)
-        frontier = nxt
-    return VerifyResult(True)
+    within, blocked = cut_blocks(inst, cut)
+    reached = capped_bfs(inst.graph, inst.s, inst.L, within, blocked,
+                         stop=inst.t)
+    if inst.t not in reached:
+        return VerifyResult(True)
+    path = [inst.t]
+    while path[-1] != inst.s:
+        path.append(reached[path[-1]][1])
+    return VerifyResult(False, tuple(reversed(path)))
 
 
 def _augment(res: dict[int, dict[int, int]], source: int, sink: int) -> bool:

@@ -5,13 +5,13 @@ import pytest
 
 from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
                    InvalidAssignment, InvalidCut, NoVertexCut, Variant,
-                   brute_force_csp, brute_force_cut,
+                   bfs_distances, brute_force_csp, brute_force_cut,
                    constraint_graph, cut_to_assignment, decode_edge,
                    decode_vertex, encode_edge_cut, encode_vertex_cut,
                    verify_cut, violated_soft_count)
 from lbcut.csp import satisfies_all_hard
 
-from conftest import atlas_graphs
+from conftest import atlas_graphs, grid_graph, random_graph
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -120,6 +120,58 @@ def test_cut_to_assignment_rejects_infeasible():
     inst = Instance(PATH4, 0, 3, 3, Variant.EDGE)
     with pytest.raises(InvalidCut):
         cut_to_assignment(inst, CutSet(Variant.EDGE, ()))
+
+
+def _reference_labels(inst, cut):
+    """BFS labels on a copy of the graph with the cut deleted."""
+    if cut.variant is Variant.EDGE:
+        rest = inst.graph.without_edges(cut.members)
+    else:
+        rest = inst.graph.without_vertices(cut.members)
+    dist = bfs_distances(rest, inst.s)
+    if dist[inst.t] is not None and dist[inst.t] <= inst.L:
+        raise InvalidCut("cut is not feasible, no labeling exists")
+    L = inst.L
+    return tuple(
+        -1 if cut.variant is Variant.VERTEX and v in cut.members
+        else L + 1 if dist[v] is None else min(dist[v], L + 1)
+        for v in range(inst.graph.n))
+
+
+def test_cut_to_assignment_matches_labels_of_the_cut_graph():
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(3, 11)
+        g = random_graph(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+        s, t = rng.sample(range(n), 2)
+        g = g.induced({s, t} | {v for v in range(n) if rng.random() < 0.8})
+        variant = rng.choice([Variant.EDGE, Variant.VERTEX])
+        inst = Instance(g, s, t, rng.randint(1, 5), variant)
+        pool = (sorted(g.edges) if variant is Variant.EDGE
+                else sorted(g.vertices - {s, t}))
+        cut = CutSet(variant, rng.sample(pool, rng.randint(0, len(pool))))
+        try:
+            expected = _reference_labels(inst, cut)
+        except InvalidCut:
+            with pytest.raises(InvalidCut, match="cut is not feasible"):
+                cut_to_assignment(inst, cut)
+            outcomes.add((variant, False))
+            continue
+        assert cut_to_assignment(inst, cut) == expected
+        outcomes.add((variant, True))
+    assert len(outcomes) == 4
+
+
+def test_encodings_share_one_relation_object_per_relation():
+    g = grid_graph(4, 4)
+    q = encode_vertex_cut(Instance(g, 0, 15, 6, Variant.VERTEX))
+    edge_hard = [c for c in q.hard if len(c.scope) == 2]
+    assert len(edge_hard) == g.m
+    assert len({id(c.allowed) for c in edge_hard}) <= 3
+    q = encode_edge_cut(Instance(g, 0, 15, 6, Variant.EDGE))
+    assert len(q.soft) == g.m
+    assert len({id(c.allowed) for c in q.soft}) == 1
 
 
 def _all_assignments(q):

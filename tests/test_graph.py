@@ -4,7 +4,7 @@ import pytest
 
 from lbcut import (CutSet, Graph, GraphError, Instance, InvalidCut,
                    NoVertexCut, Variant, bfs_distances, hop_distance,
-                   min_edge_cut, min_vertex_cut, remove, verify_cut)
+                   min_edge_cut, min_vertex_cut, verify_cut)
 from lbcut.oracle import enumerate_short_paths
 
 from conftest import (atlas_graphs, brute_min_edge_cut_size,
@@ -66,34 +66,8 @@ def test_hop_distance_within_matches_induced_subgraph():
         for cap in (None, 1, 2, rng.randint(0, n)):
             assert (hop_distance(g, s, t, cap, within=within)
                     == hop_distance(sub, s, t, cap))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="terminals must lie in `within`"):
         hop_distance(PATH4, 0, 3, within={0, 1, 2})
-
-
-def test_remove_edge_splits_path():
-    g2 = remove(PATH4, CutSet(Variant.EDGE, ((1, 2),)))
-    assert hop_distance(g2, 0, 3) is None
-    assert g2.m == 2
-
-
-def test_remove_vertex_from_cycle():
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    g2 = remove(c5, CutSet(Variant.VERTEX, (1,)))
-    assert not g2.has_vertex(1)
-    assert sorted(g2.edges) == [(0, 4), (2, 3), (3, 4)]
-
-
-def test_remove_empty_is_identity():
-    assert remove(PATH4, CutSet(Variant.EDGE, ())) == PATH4
-    assert remove(PATH4, CutSet(Variant.VERTEX, ())) == PATH4
-
-
-def test_remove_missing_member_raises():
-    with pytest.raises(InvalidCut):
-        remove(PATH4, CutSet(Variant.EDGE, ((0, 2),)))
-    g2 = PATH4.without_vertices([1])
-    with pytest.raises(InvalidCut):
-        remove(g2, CutSet(Variant.VERTEX, (1,)))
 
 
 def test_verify_cut_examples():
@@ -108,8 +82,14 @@ def test_verify_cut_examples():
 
 def test_verify_cut_rejects_terminals_in_vertex_cut():
     inst = Instance(PATH4, 0, 3, 2, Variant.VERTEX)
-    with pytest.raises(InvalidCut):
+    with pytest.raises(InvalidCut, match="may not contain s or t"):
         verify_cut(inst, CutSet(Variant.VERTEX, (0,)))
+    inst = Instance(PATH4, 0, 3, 2, Variant.EDGE)
+    with pytest.raises(InvalidCut, match=r"edge \(0, 2\) is not in the graph"):
+        verify_cut(inst, CutSet(Variant.EDGE, ((0, 2),)))
+    inst = Instance(PATH4.without_vertices([1]), 0, 3, 2, Variant.VERTEX)
+    with pytest.raises(InvalidCut, match="vertex 1 is not in the graph"):
+        verify_cut(inst, CutSet(Variant.VERTEX, (1,)))
 
 
 def test_verify_cut_variant_mismatch():
