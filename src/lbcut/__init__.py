@@ -24,9 +24,8 @@ from .graph import (CutSet, DistanceVector, Graph, Instance, Variant,
 from .io import generate, load_instance, parse_instance, write_instance
 from .oracle import (UNKNOWN, Unknown, brute_force_cut, brute_force_csp,
                      enumerate_short_paths)
-from .treedec import (Strategy, SubtreeSplit, TreeDecomposition,
-                      ValidationResult, build_heuristic, prune_decomposition,
-                      read_td, rooted_at, split_at, subtree_vertex_sets,
-                      validate, width, write_td)
+from .treedec import (SubtreeSplit, TreeDecomposition, ValidationResult,
+                      build_heuristic, prune_decomposition, read_td, rooted_at,
+                      split_at, subtree_vertex_sets, validate, width, write_td)
 
 __version__ = "0.1.0"

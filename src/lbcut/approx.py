@@ -44,9 +44,8 @@ from .errors import InvalidDecomposition, LbcutError, NoVertexCut
 from .graph import (CutSet, Instance, Variant, hop_distance, min_vertex_cut,
                     verify_cut)
 # split_at, prune_decomposition: unused, kept for the benchmark's tracer
-from .treedec import (Strategy, TreeDecomposition, build_heuristic,
-                      prune_decomposition, split_at, subtree_vertex_sets,
-                      validate, width)
+from .treedec import (TreeDecomposition, build_heuristic, prune_decomposition,
+                      split_at, subtree_vertex_sets, validate, width)
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,9 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     return ApproxResult(cut, tuple(trace))
 
 
-def approx_auto(inst: Instance,
-                strategy: Strategy = Strategy.MIN_FILL) -> ApproxResult:
+def approx_auto(inst: Instance) -> ApproxResult:
     """Build a heuristic decomposition, then approximate with it."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
-    td = build_heuristic(inst.graph, strategy)
+    td = build_heuristic(inst.graph)
     return approx_vertex_cut(inst, td)

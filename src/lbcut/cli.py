@@ -23,7 +23,7 @@ from .graph import (CutSet, Graph, Instance, Variant, min_edge_cut,
                     min_vertex_cut, verify_cut)
 from .io import GENERATOR_KINDS, generate, load_instance
 from .oracle import (DEFAULT_MAX_SIZE, UNKNOWN, brute_force_cut)
-from .treedec import Strategy, read_td
+from .treedec import read_td
 
 ALGORITHMS = ("exact", "approx", "brute", "mincut-baseline", "auto")
 
@@ -76,12 +76,11 @@ def _load_td(path: str, g: Graph):
 def _run_algorithm(algo: str, inst: Instance, td, args):
     """Returns the cut, or UNKNOWN for a blown brute-force budget."""
     if algo == "exact":
-        return solve_fpt(inst, td, strategy=Strategy(args.strategy),
-                         table_budget=args.table_budget)
+        return solve_fpt(inst, td, table_budget=args.table_budget)
     if algo == "approx":
         if inst.variant is not Variant.EDGE:
             res = (approx_vertex_cut(inst, td) if td is not None
-                   else approx_auto(inst, Strategy(args.strategy)))
+                   else approx_auto(inst))
             return res.cut
         raise UsageError("approx supports the vertex variant only")
     if algo == "brute":
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", default="exact", choices=ALGORITHMS)
     p_solve.add_argument("--td", help="PACE .td decomposition to use")
     p_solve.add_argument("--json", action="store_true")
-    p_solve.add_argument("--strategy", default="min-fill",
-                         choices=[s.value for s in Strategy])
     p_solve.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE,
                          help="enumeration cap for --algo brute")
     p_solve.add_argument("--table-budget", type=int, default=TABLE_BUDGET,
@@ -300,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="largest cut the oracle tries; 0 checks only "
                               "the empty cut")
     p_bench.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
-    p_bench.add_argument("--strategy", default="min-fill",
-                         choices=[s.value for s in Strategy])
     p_bench.add_argument("--table-budget", type=int, default=TABLE_BUDGET)
     p_bench.set_defaults(func=cmd_bench)
     return parser

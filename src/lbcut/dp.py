@@ -29,8 +29,7 @@ from .csp import (Constraint, CspInstance, CspSolution, decode_edge,
 from .errors import (DecompositionMismatch, InvalidDecomposition, LbcutError,
                      NoVertexCut, ResourceExceeded)
 from .graph import CutSet, Instance, Variant, verify_cut
-from .treedec import (Strategy, TreeDecomposition, build_heuristic, top_nodes,
-                      width)
+from .treedec import TreeDecomposition, build_heuristic, top_nodes, width
 
 TABLE_BUDGET = 1 << 26
 
@@ -173,7 +172,6 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
 
 def solve_exact_cut(inst: Instance,
                     td: Optional[TreeDecomposition] = None, *,
-                    strategy: Strategy = Strategy.MIN_FILL,
                     table_budget: int = TABLE_BUDGET) -> CutSet:
     """Optimal L-bounded cut via the CSP route, with the width it ran on."""
     if inst.variant is Variant.EDGE:
@@ -184,7 +182,7 @@ def solve_exact_cut(inst: Instance,
                 f"vertices {inst.s} and {inst.t} are adjacent")
         q = encode_vertex_cut(inst)
     if td is None:
-        td = build_heuristic(inst.graph, strategy)
+        td = build_heuristic(inst.graph)
     sol = solve_min_csp(q, td, table_budget=table_budget)
     if sol is None:
         raise LbcutError("cut encodings are always hard-feasible; "

@@ -16,7 +16,7 @@ from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError, NoVertexCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
-from .treedec import Strategy, TreeDecomposition, build_heuristic
+from .treedec import TreeDecomposition, build_heuristic
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ def prune_to_relevant(inst: Instance) -> PruneResult:
 
 
 def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
-              strategy: Strategy = Strategy.MIN_FILL,
               table_budget: int = TABLE_BUDGET) -> CutSet:
     """Prune, solve exactly on the subgraph, translate back, and re-verify.
 
@@ -71,7 +70,7 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
             for bag in td.bags)
         sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
     else:
-        sub_td = build_heuristic(pr.subgraph, strategy)
+        sub_td = build_heuristic(pr.subgraph)
     sub_cut = solve_exact_cut(sub_inst, sub_td, table_budget=table_budget)
 
     if inst.variant is Variant.EDGE:

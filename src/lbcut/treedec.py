@@ -1,18 +1,13 @@
-"""Rooted tree decompositions: validation, heuristics, surgery, PACE I/O."""
+"""Rooted tree decompositions: validation, the elimination heuristic,
+surgery, PACE I/O."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import GraphError, InvalidDecomposition, ParseError
 from .graph import Graph
-
-
-class Strategy(Enum):
-    MIN_FILL = "min-fill"
-    MIN_DEGREE = "min-degree"
 
 
 @dataclass(frozen=True)
@@ -157,13 +152,15 @@ def _fill_in(work: dict[int, set[int]], v: int) -> int:
     return count
 
 
-def build_heuristic(g: Graph, strategy: Strategy = Strategy.MIN_FILL) -> TreeDecomposition:
+def build_heuristic(g: Graph) -> TreeDecomposition:
     """Tree decomposition from a greedy elimination ordering.
 
-    Bag of v = v plus its not-yet-eliminated neighbors in the running
-    chordal completion.  Node i holds the bag of the i-th eliminated vertex;
-    its parent is the node of the earliest-eliminated other bag member.
-    Ties always break toward the smallest vertex id.
+    Each step eliminates the vertex of least degree in the running chordal
+    completion, breaking ties by least fill-in (the number of missing edges
+    among its neighbors), then by least id.  Bag of v = v plus its
+    not-yet-eliminated neighbors in the completion.  Node i holds the bag
+    of the i-th eliminated vertex; its parent is the node of the
+    earliest-eliminated other bag member.
     """
     if not g.vertices:
         raise GraphError("cannot decompose an empty graph")
@@ -171,10 +168,9 @@ def build_heuristic(g: Graph, strategy: Strategy = Strategy.MIN_FILL) -> TreeDec
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
     while work:
-        if strategy is Strategy.MIN_FILL:
-            v = min(work, key=lambda u: (_fill_in(work, u), u))
-        else:
-            v = min(work, key=lambda u: (len(work[u]), u))
+        d = min(len(x) for x in work.values())
+        v = min((u for u in work if len(work[u]) == d),
+                key=lambda u: (_fill_in(work, u), u))
         nbrs = work.pop(v)
         order.append(v)
         bags.append(tuple(sorted({v} | nbrs)))

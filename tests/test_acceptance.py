@@ -16,10 +16,10 @@ from typing import Optional
 
 import pytest
 
-from lbcut import (Graph, Instance, Strategy, UNKNOWN, Variant,
-                   approx_vertex_cut, brute_force_csp, brute_force_cut,
-                   build_heuristic, encode_edge_cut, encode_vertex_cut,
-                   hop_distance, parse_instance, read_td, solve_exact_cut,
+from lbcut import (Graph, Instance, UNKNOWN, Variant, approx_vertex_cut,
+                   brute_force_csp, brute_force_cut, build_heuristic,
+                   encode_edge_cut, encode_vertex_cut, hop_distance,
+                   parse_instance, read_td, rooted_at, solve_exact_cut,
                    solve_fpt, solve_min_csp, verify_cut, violated_soft_count,
                    width, write_instance, write_td)
 from lbcut.csp import satisfies_all_hard
@@ -48,7 +48,7 @@ class Record:
     csp_cost: int
     dp_cost: Optional[int]
     dp_assignment_ok: bool
-    approx: dict = field(default_factory=dict)  # strategy -> (size, lb, width)
+    approx: dict = field(default_factory=dict)  # root -> (size, lb, width)
 
 
 @dataclass
@@ -61,10 +61,15 @@ class Sweep:
 def sweep() -> Sweep:
     records = []
     timed = 0.0
+    rng = random.Random(6)
     for graph_id, g in enumerate(atlas_graphs(6)):
         if g.n < 2:
             continue
         decomposition = build_heuristic(g)
+        # the approximation meets the decomposition at two tree shapes:
+        # its own root 0 and another node
+        rerooted = rooted_at(decomposition,
+                             rng.randrange(1, decomposition.n_nodes))
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 for L in (1, 2, 3, 4, 5):
@@ -90,11 +95,10 @@ def sweep() -> Sweep:
                                      oracle.size, fpt_cut.size, csp.cost,
                                      None if dp is None else dp.cost, dp_ok)
                         if variant is Variant.VERTEX:
-                            for strategy in Strategy:
-                                td = build_heuristic(g, strategy)
+                            for td in (decomposition, rerooted):
                                 res = approx_vertex_cut(inst, td)
                                 assert verify_cut(inst, res.cut).feasible
-                                rec.approx[strategy] = (
+                                rec.approx[td.root] = (
                                     res.cut.size, res.lower_bound, width(td))
                         records.append(rec)
     return Sweep(records, timed)
@@ -147,15 +151,15 @@ def test_criterion_4_approximation_ratio(sweep):
     for r in sweep.records:
         if r.variant is not Variant.VERTEX:
             continue
-        for strategy, (size, lb, w) in r.approx.items():
+        for root, (size, lb, w) in r.approx.items():
             if size > w * r.oracle_size and r.oracle_size > 0:
-                violations.append((r, strategy, "ratio"))
+                violations.append((r, root, "ratio"))
             if r.oracle_size == 0 and size != 0:
-                violations.append((r, strategy, "nonzero on trivial"))
+                violations.append((r, root, "nonzero on trivial"))
             if lb > r.oracle_size:
-                violations.append((r, strategy, "lower bound too high"))
+                violations.append((r, root, "lower bound too high"))
             if size > w * max(lb, 1):
-                violations.append((r, strategy, "certificate ratio"))
+                violations.append((r, root, "certificate ratio"))
     _report(4, "width-factor ratio and certificate", not violations)
     assert not violations, violations[:5]
 

@@ -4,9 +4,10 @@ import time
 import pytest
 
 from lbcut import (Graph, Instance, InvalidDecomposition, NoVertexCut,
-                   Strategy, TreeDecomposition, UNKNOWN, Variant,
-                   approx_auto, approx_vertex_cut, brute_force_cut,
-                   build_heuristic, enumerate_short_paths, verify_cut, width)
+                   TreeDecomposition, UNKNOWN, Variant, approx_auto,
+                   approx_vertex_cut, brute_force_cut, build_heuristic,
+                   enumerate_short_paths, rooted_at, validate, verify_cut,
+                   width)
 
 from conftest import atlas_graphs, grid_graph
 
@@ -14,10 +15,25 @@ PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
+def _two_shapes(g: Graph, rng: random.Random) -> tuple[TreeDecomposition, ...]:
+    """The heuristic decomposition at its own root 0 and at a random other
+    node (g has at least two vertices, so at least two nodes)."""
+    td = build_heuristic(g)
+    return td, rooted_at(td, rng.randrange(1, td.n_nodes))
+
+
+def _fan(k: int) -> Instance:
+    """s = 0 and t = 1 adjacent to every vertex of the path 2..k+1, L = 2."""
+    path = list(range(2, k + 2))
+    edges = [(0, p) for p in path] + [(1, p) for p in path]
+    edges += list(zip(path, path[1:]))
+    return Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
+
+
 def test_path_cut_of_size_one():
     inst = Instance(PATH4, 0, 3, 3, Variant.VERTEX)
-    for strategy in Strategy:
-        res = approx_auto(inst, strategy)
+    for td in _two_shapes(PATH4, random.Random(17)):
+        res = approx_vertex_cut(inst, td)
         assert res.cut.size == 1
         assert res.lower_bound == 1
 
@@ -99,10 +115,12 @@ def test_deterministic_cut_and_trace():
 
 def test_ratio_and_certificate_on_small_corpus():
     # every connected graph up to 5 vertices, all non-adjacent terminal
-    # pairs, L in 1..4, both construction heuristics
+    # pairs, L in 1..4, the heuristic decomposition at two roots
+    rng = random.Random(19)
     for g in atlas_graphs(5):
         if g.n < 3:
             continue
+        shapes = _two_shapes(g, rng)
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 if g.has_edge(s, t):
@@ -112,8 +130,7 @@ def test_ratio_and_certificate_on_small_corpus():
                     opt_cut = brute_force_cut(inst)
                     assert opt_cut is not UNKNOWN
                     opt = opt_cut.size
-                    for strategy in Strategy:
-                        td = build_heuristic(g, strategy)
+                    for td in shapes:
                         res = approx_vertex_cut(inst, td)
                         w = width(td)
                         assert verify_cut(inst, res.cut).feasible
@@ -160,13 +177,22 @@ def test_long_fan_runs_without_recursion():
     # steps (the first deletes two path vertices), far more than the
     # default recursion limit.
     k = 1500
-    path = list(range(2, k + 2))
-    edges = [(0, p) for p in path] + [(1, p) for p in path]
-    edges += list(zip(path, path[1:]))
-    inst = Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
+    inst = _fan(k)
     start = time.perf_counter()
-    res = approx_auto(inst, Strategy.MIN_DEGREE)
+    res = approx_auto(inst)
     elapsed = time.perf_counter() - start
-    assert res.cut.members == tuple(path)
+    assert res.cut.members == tuple(range(2, k + 2))
     assert res.lower_bound == k - 1
     assert elapsed < 30.0, f"k={k} took {elapsed:.1f}s"
+
+
+def test_build_heuristic_on_long_fan_is_fast():
+    # Until the last few steps only the two ends of the remaining path
+    # have the least degree, so a step computes at most two fill-ins.
+    g = _fan(4000).graph
+    start = time.perf_counter()
+    td = build_heuristic(g)
+    elapsed = time.perf_counter() - start
+    assert validate(td, g).ok
+    assert width(td) == 3
+    assert elapsed < 20.0, f"k=4000 took {elapsed:.1f}s"

@@ -3,7 +3,11 @@
 ``approx_golden.json`` holds, per case, the cut, the lower bound and every
 trace event as (kind, node, bag, removed, subtree_vertices), recorded from
 the recursive implementation that built one induced subgraph per candidate
-node.  The loop over a live-vertex set must reproduce all of it.
+node, together with the decomposition (bags, tree edges, root) it ran on.
+The cases are keyed by the elimination heuristic that built that
+decomposition, min-fill or min-degree; the decomposition is read from the
+file, so the cases do not depend on ``build_heuristic``.  The loop over a
+live-vertex set must reproduce all of it.
 """
 
 import json
@@ -12,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from lbcut import (Graph, Instance, Strategy, Variant, approx_auto, generate,
-                   parse_instance)
+from lbcut import (Graph, Instance, TreeDecomposition, Variant,
+                   approx_vertex_cut, generate, parse_instance)
 
 from conftest import grid_graph
 
@@ -51,8 +55,15 @@ def golden_instances() -> dict[str, Instance]:
     }
 
 
-def snapshot(inst: Instance, strategy: Strategy) -> dict:
-    res = approx_auto(inst, strategy)
+def recorded_td(entry: dict) -> TreeDecomposition:
+    td = entry["td"]
+    return TreeDecomposition(tuple(map(tuple, td["bags"])),
+                             frozenset(map(tuple, td["tree_edges"])),
+                             root=td["root"])
+
+
+def snapshot(inst: Instance, td: TreeDecomposition) -> dict:
+    res = approx_vertex_cut(inst, td)
     return {
         "cut": list(res.cut.members),
         "lower_bound": res.lower_bound,
@@ -61,8 +72,9 @@ def snapshot(inst: Instance, strategy: Strategy) -> dict:
     }
 
 
-@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("heuristic", ["min-degree", "min-fill"])
 @pytest.mark.parametrize("name", sorted(golden_instances()))
-def test_cut_bound_and_trace_match_golden(name, strategy):
-    golden = json.loads(GOLDEN.read_text())[f"{name}/{strategy.value}"]
-    assert snapshot(golden_instances()[name], strategy) == golden
+def test_cut_bound_and_trace_match_golden(name, heuristic):
+    golden = json.loads(GOLDEN.read_text())[f"{name}/{heuristic}"]
+    want = {k: v for k, v in golden.items() if k != "td"}
+    assert snapshot(golden_instances()[name], recorded_td(golden)) == want

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from lbcut import (Graph, ParseError, Strategy, TreeDecomposition,
-                   build_heuristic, prune_decomposition, read_td, rooted_at,
-                   split_at, subtree_vertex_sets, validate, width, write_td)
+from lbcut import (Graph, ParseError, TreeDecomposition, build_heuristic,
+                   generate, parse_instance, prune_decomposition, read_td,
+                   rooted_at, split_at, subtree_vertex_sets, validate, width,
+                   write_td)
 
 from conftest import exact_treewidth, grid_graph, random_graph, random_tree
 
@@ -80,9 +82,8 @@ def test_validate_matches_axioms_on_random_decompositions():
     for _ in range(300):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-        for strategy in Strategy:
-            td = build_heuristic(g, strategy)
-            td = rooted_at(td, rng.randrange(td.n_nodes))
+        own = build_heuristic(g)
+        for td in (own, rooted_at(own, rng.randrange(own.n_nodes))):
             bags = [list(b) for b in td.bags]
             a = rng.randrange(td.n_nodes)
             change = rng.choice(("none", "drop", "add", "stray"))
@@ -112,8 +113,8 @@ def test_build_heuristic_on_trees_gives_width_one():
     rng = random.Random(3)
     for _ in range(30):
         g = random_tree(rng, rng.randint(2, 50))
-        for strategy in Strategy:
-            td = build_heuristic(g, strategy)
+        own = build_heuristic(g)
+        for td in (own, rooted_at(own, rng.randrange(own.n_nodes))):
             assert validate(td, g).ok
             assert width(td) == 1
 
@@ -128,9 +129,62 @@ def test_build_heuristic_complete_graph():
 def test_build_heuristic_grid():
     g = grid_graph(3, 3)
     assert exact_treewidth(g) == 3
-    td = build_heuristic(g, Strategy.MIN_FILL)
+    td = build_heuristic(g)
     assert validate(td, g).ok
     assert width(td) <= 4
+
+
+def _reference_elimination(g: Graph) -> TreeDecomposition:
+    """The elimination rule written out: repeatedly take the vertex with the
+    smallest (degree, fill-in, id) in the graph completed so far; its bag is
+    itself plus its neighbors, which then become a clique.  A node's parent
+    is the node of its earliest-eliminated other bag member, and a node with
+    no other member is joined to the next node."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def key(v):
+        fill = sum(1 for x, y in combinations(adj[v], 2) if y not in adj[x])
+        return len(adj[v]), fill, v
+
+    order, bags = [], []
+    while adj:
+        v = min(adj, key=key)
+        nbrs = adj.pop(v)
+        for x in nbrs:
+            adj[x].discard(v)
+            adj[x].update(nbrs - {x})
+        order.append(v)
+        bags.append(tuple(sorted(nbrs | {v})))
+    step = {v: i for i, v in enumerate(order)}
+    edges = set()
+    for i, bag in enumerate(bags):
+        others = [step[u] for u in bag if u != order[i]]
+        if others:
+            edges.add((i, min(others)))
+        elif i + 1 < len(bags):
+            edges.add((i, i + 1))
+    return TreeDecomposition(tuple(bags), frozenset(edges), root=0)
+
+
+def test_build_heuristic_follows_degree_fill_in_id_rule():
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        td = build_heuristic(g)
+        want = _reference_elimination(g)
+        assert (td.bags, td.tree_edges, td.root) == \
+            (want.bags, want.tree_edges, want.root), g
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_build_heuristic_meets_partial_ktree_width(k):
+    for n in (100, 200, 400):
+        for seed in range(5):
+            g = parse_instance(generate("partial-ktree", [n, k, 0.8], seed=seed))
+            td = build_heuristic(g)
+            assert validate(td, g).ok
+            assert width(td) <= k, (n, k, seed, width(td))
 
 
 def test_split_at_root_and_leaf():
@@ -192,8 +246,9 @@ def test_random_graph_surgery_keeps_validity():
     for trial in range(500):
         n = rng.randint(1, 12)
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-        strategy = Strategy.MIN_FILL if trial % 2 else Strategy.MIN_DEGREE
-        td = build_heuristic(g, strategy)
+        td = build_heuristic(g)
+        if trial % 2:
+            td = rooted_at(td, rng.randrange(td.n_nodes))
         assert validate(td, g).ok
 
         b = rng.randrange(td.n_nodes)
