@@ -18,9 +18,9 @@ from .errors import (BudgetExceeded, DecompositionMismatch, GraphError,
                      LbcutError, NoVertexCut, ParseError, ResourceExceeded,
                      UsageError)
 from .fpt import PruneResult, prune_to_relevant, solve_fpt
-from .graph import (CutSet, DistanceVector, Graph, Instance, Variant,
-                    VerifyResult, bfs_distances, hop_distance, min_edge_cut,
-                    min_vertex_cut, verify_cut)
+from .graph import (CutSet, Graph, Instance, Variant, VerifyResult,
+                    bfs_distances, hop_distance, min_edge_cut, min_vertex_cut,
+                    verify_cut)
 from .io import generate, load_instance, parse_instance, write_instance
 from .oracle import (UNKNOWN, Unknown, brute_force_cut, brute_force_csp,
                      enumerate_short_paths)

@@ -27,7 +27,7 @@ import numpy as np
 from .csp import (Constraint, CspInstance, CspSolution, decode_edge,
                   decode_vertex, encode_edge_cut, encode_vertex_cut)
 from .errors import (DecompositionMismatch, InvalidDecomposition, LbcutError,
-                     NoVertexCut, ResourceExceeded)
+                     ResourceExceeded)
 from .graph import CutSet, Instance, Variant, verify_cut
 from .treedec import TreeDecomposition, build_heuristic, top_nodes, width
 
@@ -177,9 +177,6 @@ def solve_exact_cut(inst: Instance,
     if inst.variant is Variant.EDGE:
         q = encode_edge_cut(inst)
     else:
-        if inst.graph.has_edge(inst.s, inst.t):
-            raise NoVertexCut(
-                f"vertices {inst.s} and {inst.t} are adjacent")
         q = encode_vertex_cut(inst)
     if td is None:
         td = build_heuristic(inst.graph)

@@ -6,7 +6,9 @@ in the parent graph.
 
 One search, ``capped_bfs``, answers every hop-distance question:
 ``bfs_distances``, ``hop_distance``, ``verify_cut`` and
-``csp.cut_to_assignment`` all call it.
+``csp.cut_to_assignment`` all call it.  One flow routine, ``_source_side``,
+finds both minimum cuts: ``min_vertex_cut`` and ``min_edge_cut`` build a
+unit-capacity residual network and read their members off its source side.
 """
 
 from __future__ import annotations
@@ -158,17 +160,6 @@ class CutSet:
 
 
 @dataclass(frozen=True)
-class DistanceVector:
-    """Hop distances from ``source``; None marks unreachable or absent ids."""
-
-    source: int
-    dist: tuple[Optional[int], ...]
-
-    def __getitem__(self, v: int) -> Optional[int]:
-        return self.dist[v]
-
-
-@dataclass(frozen=True)
 class VerifyResult:
     feasible: bool
     witness: Optional[tuple[int, ...]] = None
@@ -203,14 +194,14 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
     return reached
 
 
-def bfs_distances(g: Graph, source: int) -> DistanceVector:
+def bfs_distances(g: Graph, source: int) -> tuple[Optional[int], ...]:
     """Hop distance from source to every vertex (None if unreachable)."""
     if not g.has_vertex(source):
         raise GraphError(f"source {source} is not a vertex of the graph")
     dist: list[Optional[int]] = [None] * g.n
     for v, (d, _) in capped_bfs(g, source).items():
         dist[v] = d
-    return DistanceVector(source, tuple(dist))
+    return tuple(dist)
 
 
 def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
@@ -268,53 +259,46 @@ def verify_cut(inst: Instance, cut: CutSet) -> VerifyResult:
     return VerifyResult(False, tuple(reversed(path)))
 
 
-def _augment(res: dict[int, dict[int, int]], source: int, sink: int) -> bool:
-    """One BFS augmentation on the residual network; returns False if none."""
-    parent = {source: None}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(res[u]):
-            if w not in parent and res[u][w] > 0:
-                parent[w] = u
-                if w == sink:
-                    # unit bottleneck everywhere we care about, but compute it
-                    bottleneck = None
-                    x = sink
-                    while x != source:
-                        p = parent[x]
-                        c = res[p][x]
-                        bottleneck = c if bottleneck is None else min(bottleneck, c)
-                        x = p
-                    x = sink
-                    while x != source:
-                        p = parent[x]
-                        res[p][x] -= bottleneck
-                        res[x][p] += bottleneck
-                        x = p
-                    return True
-                queue.append(w)
-    return False
+def _source_side(res: dict[int, dict[int, int]], source: int,
+                 sink: int) -> set[int]:
+    """Run a maximum flow on the residual network ``res``; return the source side.
 
-
-def _residual_reachable(res: dict[int, dict[int, int]], source: int) -> set[int]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(res[u]):
-            if w not in seen and res[u][w] > 0:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    ``res[a][b]`` is the residual capacity of arc a -> b, and every arc's
+    reverse must be present (capacity 0 if it has none).  Each round pushes
+    one unit along a shortest residual path, scanning neighbours in
+    ascending order; capacities are integers, so every residual arc holds at
+    least that unit.  When the search no longer reaches ``sink``, the nodes
+    it visited are the source side of the minimum cut closest to the source,
+    which is the same for every maximum flow.
+    """
+    res = {u: dict(sorted(arcs.items())) for u, arcs in res.items()}
+    while True:
+        parent: dict[int, Optional[int]] = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for w, cap in res[u].items():
+                if cap > 0 and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        if sink not in parent:
+            return set(parent)
+        w = sink
+        while w != source:
+            u = parent[w]
+            res[u][w] -= 1
+            res[w][u] += 1
+            w = u
 
 
 def min_vertex_cut(g: Graph, s: int, t: int) -> CutSet:
     """Minimum vertex s-t cut via unit-capacity flow on the split digraph.
 
-    Every vertex other than s and t is split into an in/out pair joined by
-    a unit arc; edge arcs get effectively infinite capacity.  Deterministic:
-    arcs are built and scanned in ascending id order.
+    Vertex v other than s and t becomes in-node 2v and out-node 2v+1, joined
+    by a unit arc; s and t stay whole as node 2s and node 2t.  Each edge
+    u-v gives arcs out(u) -> 2v and out(v) -> 2u of effectively infinite
+    capacity.  The cut is every v whose in-node lies on the source side and
+    whose out-node does not.
     """
     if s == t:
         raise GraphError("s and t must differ")
@@ -323,37 +307,21 @@ def min_vertex_cut(g: Graph, s: int, t: int) -> CutSet:
     if g.has_edge(s, t):
         raise NoVertexCut(f"vertices {s} and {t} are adjacent")
 
-    inf = len(g.vertices) + 1
+    out = {v: 2 * v if v in (s, t) else 2 * v + 1 for v in g.vertices}
     res: dict[int, dict[int, int]] = {}
-
-    def node_in(v: int) -> int:
-        return 2 * v
-
-    def node_out(v: int) -> int:
-        return 2 * v if v in (s, t) else 2 * v + 1
-
-    def add_arc(a: int, b: int, cap: int) -> None:
-        res.setdefault(a, {})
-        res.setdefault(b, {})
-        res[a][b] = res[a].get(b, 0) + cap
-        res[b].setdefault(a, 0)
-
-    for v in g.sorted_vertices():
-        if v not in (s, t):
-            add_arc(node_in(v), node_out(v), 1)
-    for u, v in sorted(g.edges):
-        add_arc(node_out(u), node_in(v), inf)
-        add_arc(node_out(v), node_in(u), inf)
-
-    source, sink = node_out(s), node_in(t)
-    if source not in res or sink not in res:
-        return CutSet(Variant.VERTEX, (), algorithm="min-vertex-cut")
-    while _augment(res, source, sink):
-        pass
-    reach = _residual_reachable(res, source)
+    for v in g.vertices:
+        res[2 * v] = {}
+        if out[v] != 2 * v:
+            res[2 * v][out[v]] = 1
+            res[out[v]] = {2 * v: 0}
+    inf = len(g.vertices) + 1
+    for u, v in g.edges:
+        for a, b in ((u, v), (v, u)):
+            res[out[a]][2 * b] = inf
+            res[2 * b][out[a]] = 0
+    side = _source_side(res, 2 * s, 2 * t)
     members = tuple(v for v in g.sorted_vertices()
-                    if v not in (s, t)
-                    and node_in(v) in reach and node_out(v) not in reach)
+                    if 2 * v in side and out[v] not in side)
     return CutSet(Variant.VERTEX, members, algorithm="min-vertex-cut")
 
 
@@ -363,13 +331,8 @@ def min_edge_cut(g: Graph, s: int, t: int) -> CutSet:
         raise GraphError("s and t must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise GraphError("terminals must be vertices of the graph")
-    res: dict[int, dict[int, int]] = {v: {} for v in g.sorted_vertices()}
-    for u, v in sorted(g.edges):
-        res[u][v] = 1
-        res[v][u] = 1
-    while _augment(res, s, t):
-        pass
-    reach = _residual_reachable(res, s)
+    res = {v: dict.fromkeys(g.neighbors(v), 1) for v in g.vertices}
+    side = _source_side(res, s, t)
     members = tuple(e for e in sorted(g.edges)
-                    if (e[0] in reach) != (e[1] in reach))
+                    if (e[0] in side) != (e[1] in side))
     return CutSet(Variant.EDGE, members, algorithm="min-edge-cut")

@@ -104,29 +104,31 @@ def enumerate_short_paths(g: Graph, s: int, t: int, L: int) -> list[tuple[int, .
     """All simple s-t paths with at most L edges, in DFS order.
 
     Branches are pruned with the exact hop distance to t, so the search
-    only walks prefixes that can still finish within the budget.
+    only walks prefixes that can still finish within the budget.  The DFS
+    keeps an explicit stack of neighbour iterators, one per path vertex, so
+    path length is not limited by the recursion limit.
     """
     dist_t = bfs_distances(g, t)
-    if dist_t[s] is None or dist_t[s] > L:
-        return []
     paths: list[tuple[int, ...]] = []
-
-    def extend(v: int, path: list[int], used: set[int]) -> None:
-        if v == t:
-            paths.append(tuple(path))
-            return
-        spent = len(path) - 1
-        for w in g.neighbors(v):
-            if w in used:
-                continue
+    path: list[int] = []
+    used: set[int] = set()
+    # The bottom iterator offers s itself, so s meets the same budget check
+    # as every later vertex and is the one path vertex without an iterator.
+    stack = [iter((s,))]
+    while stack:
+        for w in stack[-1]:
             d = dist_t[w]
-            if d is None or spent + 1 + d > L:
+            if w in used or d is None or len(path) + d > L:
+                continue
+            if w == t:
+                paths.append((*path, w))
                 continue
             path.append(w)
             used.add(w)
-            extend(w, path, used)
-            used.discard(w)
-            path.pop()
-
-    extend(s, [s], {s})
+            stack.append(iter(g.neighbors(w)))
+            break
+        else:
+            stack.pop()
+            if path:
+                used.discard(path.pop())
     return paths

@@ -1,6 +1,8 @@
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmonds_karp
 
 from lbcut import (CutSet, Graph, GraphError, Instance, InvalidCut,
                    NoVertexCut, Variant, bfs_distances, hop_distance,
@@ -23,12 +25,12 @@ def test_graph_rejects_self_loops_and_duplicates():
 
 
 def test_bfs_distances_path():
-    assert bfs_distances(PATH4, 0).dist == (0, 1, 2, 3)
+    assert bfs_distances(PATH4, 0) == (0, 1, 2, 3)
 
 
 def test_bfs_distances_single_vertex():
     g = Graph.from_edges(1, [])
-    assert bfs_distances(g, 0).dist == (0,)
+    assert bfs_distances(g, 0) == (0,)
 
 
 def test_bfs_distances_disconnected():
@@ -148,6 +150,13 @@ def test_feasibility_equals_hitting_all_short_paths():
             assert feasible == hits
 
 
+def test_enumerate_short_paths_on_long_path_runs_without_recursion():
+    n = 1200
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    assert enumerate_short_paths(g, 0, n - 1, n) == [tuple(range(n))]
+    assert enumerate_short_paths(g, 0, n - 1, n - 2) == []
+
+
 def test_feasible_cut_stays_feasible_after_adding_members():
     rng = random.Random(5)
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -211,6 +220,72 @@ def test_min_edge_cut_examples():
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert min_edge_cut(c5, 0, 2).size == brute_min_edge_cut_size(c5, 0, 2) == 2
     assert min_edge_cut(Graph.from_edges(2, []), 0, 1).members == ()
+
+
+def _reference_source_side(arcs, source: int, sink: int) -> set[int]:
+    """Nodes the source reaches in the residual graph of a networkx max flow.
+
+    ``arcs`` holds (a, b, capacity) triples; capacity None is unbounded.
+    """
+    net = nx.DiGraph()
+    net.add_nodes_from((source, sink))
+    for a, b, cap in arcs:
+        if cap is None:
+            net.add_edge(a, b)
+        else:
+            net.add_edge(a, b, capacity=cap)
+    res = edmonds_karp(net, source, sink)
+    seen = {source}
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        for w, arc in res[u].items():
+            if w not in seen and arc["capacity"] - arc["flow"] > 0:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _reference_vertex_cut(g: Graph, s: int, t: int) -> tuple[int, ...]:
+    # vertex v splits into in = 2v and out = 2v + 1; s and t stay whole (2v)
+    def out(v):
+        return 2 * v if v in (s, t) else 2 * v + 1
+    arcs = [(2 * v, 2 * v + 1, 1) for v in g.sorted_vertices()
+            if v not in (s, t)]
+    arcs += [(out(a), 2 * b, None) for u, v in g.edges
+             for a, b in ((u, v), (v, u))]
+    side = _reference_source_side(arcs, 2 * s, 2 * t)
+    return tuple(v for v in g.sorted_vertices()
+                 if v not in (s, t) and 2 * v in side and out(v) not in side)
+
+
+def _reference_edge_cut(g: Graph, s: int, t: int) -> tuple:
+    arcs = [(a, b, 1) for u, v in g.edges for a, b in ((u, v), (v, u))]
+    side = _reference_source_side(arcs, s, t)
+    return tuple(e for e in sorted(g.edges) if (e[0] in side) != (e[1] in side))
+
+
+def test_min_cut_members_match_networkx_source_side():
+    rng = random.Random(41)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(20, 120)
+        g = random_graph(rng, n, rng.randint(n, 3 * n))
+        cases.append((g, *rng.sample(range(n), 2)))
+    for _ in range(20):
+        n = rng.randint(20, 60)
+        g = random_graph(rng, n, rng.randint(n, 3 * n))
+        s, t = rng.sample(range(n), 2)
+        keep = {s, t} | {v for v in range(n) if rng.random() < 0.7}
+        cases.append((g.induced(keep), s, t))
+    vertex_cases = 0
+    for g, s, t in cases:
+        assert min_edge_cut(g, s, t).members == _reference_edge_cut(g, s, t)
+        if not g.has_edge(s, t):
+            assert (min_vertex_cut(g, s, t).members
+                    == _reference_vertex_cut(g, s, t))
+            vertex_cases += 1
+    assert vertex_cases > 100
 
 
 def test_min_edge_cut_matches_brute_force_random():
