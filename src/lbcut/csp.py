@@ -5,6 +5,17 @@ One variable per vertex holds a distance-like label.  Labels run over
 labels within 1 of each other, so any surviving s-t path needs more than L
 edges.  The vertex variant adds a label -1 meaning "deleted" and moves the
 unit cost onto unary constraints.
+
+Each vertex v gets only the labels an optimum can need, the BFS layers of
+the paper's planar algorithm.  With lo = min(d(s,v), L+1) and
+hi = L+1 - min(d(v,t), L+1), where a terminal farther than L or out of
+reach counts as L+1 away, v's labels are min(lo, hi)..hi (and -1 in the
+vertex variant).  Nothing is lost: for any labeling z, the labeling
+min(max(z, lo), hi) on the kept vertices still has s at 0 and t at L+1,
+lies in these domains, and, because lo and hi change by at most 1 along an
+edge, keeps every edge that z kept within 1; so it costs no more.  A vertex
+on no s-t path of length at most L (d(s,v) + d(v,t) > L) has one label
+besides -1.
 """
 
 from __future__ import annotations
@@ -12,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAssignment, InvalidCut, NoVertexCut
-from .graph import CutSet, Graph, Instance, Variant, capped_bfs, cut_blocks
+from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
+                    capped_bfs, cut_blocks)
 
 Assignment = tuple[int, ...]
 
@@ -98,18 +110,49 @@ def constraint_graph(q: CspInstance) -> Graph:
     return Graph(q.num_vars, frozenset(range(q.num_vars)), frozenset(edges))
 
 
+def _label_ranges(inst: Instance) -> list[tuple[int, int]]:
+    """Each vertex's (least, greatest) label, see the module docstring.
+
+    Distances past L (None) count as L+1, so absent vertices get (0, 0).
+    """
+    L = inst.L
+    ds = bfs_distances(inst.graph, inst.s, cap=L)
+    dt = bfs_distances(inst.graph, inst.t, cap=L)
+    ranges = []
+    for a, b in zip(ds, dt):
+        lo = L + 1 if a is None else a
+        hi = 0 if b is None else L + 1 - b
+        ranges.append((min(lo, hi), hi))
+    return ranges
+
+
+def _edge_constraints(g: Graph, domains) -> list[Constraint]:
+    """One constraint per edge: its end labels lie within 1 of each other
+    unless one is -1 ("deleted", in vertex-variant domains only).  Edges with
+    the same pair of end domains share one relation object."""
+    relations = {}
+    out = []
+    for u, v in sorted(g.edges):
+        key = (domains[u], domains[v])
+        if key not in relations:
+            relations[key] = frozenset(
+                (a, b) for a in key[0] for b in key[1]
+                if a == -1 or b == -1 or abs(a - b) <= 1)
+        out.append(Constraint((u, v), relations[key]))
+    return out
+
+
 def encode_edge_cut(inst: Instance) -> CspInstance:
     """Edge-cut encoding: soft near-constraints on edges, cost = cut size."""
     if inst.variant is not Variant.EDGE:
         raise ValueError("encode_edge_cut requires an edge-cut instance")
     L = inst.L
-    dom = tuple(range(L + 2))
-    domains = tuple(dom for _ in range(inst.graph.n))
+    domains = tuple(tuple(range(lo, hi + 1))
+                    for lo, hi in _label_ranges(inst))
     hard = (Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)})))
-    near = frozenset((a, b) for a in dom for b in dom if abs(a - b) <= 1)
-    soft = tuple(Constraint(e, near) for e in sorted(inst.graph.edges))
-    return CspInstance(inst.graph.n, domains, hard, soft)
+    soft = _edge_constraints(inst.graph, domains)
+    return CspInstance(inst.graph.n, domains, hard, tuple(soft))
 
 
 def encode_vertex_cut(inst: Instance) -> CspInstance:
@@ -119,24 +162,21 @@ def encode_vertex_cut(inst: Instance) -> CspInstance:
     if inst.graph.has_edge(inst.s, inst.t):
         raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     L = inst.L
-    base = tuple(range(L + 2))
-    wild = (-1,) + base
-    domains = tuple(base if v in (inst.s, inst.t) else wild
-                    for v in range(inst.graph.n))
+    domains = tuple(
+        (() if v in (inst.s, inst.t) else (-1,)) + tuple(range(lo, hi + 1))
+        for v, (lo, hi) in enumerate(_label_ranges(inst)))
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
-    relations = {}  # one per (domains[u], domains[v]) pair: at most 3
-    for u, v in sorted(inst.graph.edges):
-        key = (domains[u], domains[v])
-        if key not in relations:
-            relations[key] = frozenset(
-                (a, b) for a in key[0] for b in key[1]
-                if a == -1 or b == -1 or abs(a - b) <= 1)
-        hard.append(Constraint((u, v), relations[key]))
-    kept = frozenset((x,) for x in base)
-    soft = tuple(Constraint((v,), kept)
-                 for v in inst.graph.sorted_vertices() if v not in (inst.s, inst.t))
-    return CspInstance(inst.graph.n, domains, tuple(hard), soft)
+    hard += _edge_constraints(inst.graph, domains)
+    kept = {}  # one unary relation per distinct domain
+    soft = []
+    for v in inst.graph.sorted_vertices():
+        if v not in (inst.s, inst.t):
+            if domains[v] not in kept:
+                kept[domains[v]] = frozenset(
+                    (x,) for x in domains[v] if x != -1)
+            soft.append(Constraint((v,), kept[domains[v]]))
+    return CspInstance(inst.graph.n, domains, tuple(hard), tuple(soft))
 
 
 def _check_labels(inst: Instance, z: Assignment) -> None:
@@ -180,10 +220,12 @@ def decode_vertex(inst: Instance, z: Assignment) -> CutSet:
 
 
 def cut_to_assignment(inst: Instance, cut: CutSet) -> Assignment:
-    """Truncated shortest-path labels of the graph minus a feasible cut.
+    """Truncated shortest-path labels of the graph minus a feasible cut,
+    clamped into the encodings' label domains.
 
-    Labels are min(d(s, v), L+1) in the remainder; deleted vertices (vertex
-    variant) get -1, unreachable and absent vertices get L+1.
+    A kept vertex's label is min(d(s, v), L+1) in the remainder (L+1 when
+    unreachable or absent), clamped to its domain as in the module
+    docstring; deleted vertices (vertex variant) get -1.
     """
     within, blocked = cut_blocks(inst, cut)
     L = inst.L
@@ -193,6 +235,8 @@ def cut_to_assignment(inst: Instance, cut: CutSet) -> Assignment:
     labels = [L + 1] * inst.graph.n
     for v, (d, _) in reached.items():
         labels[v] = d
+    labels = [min(max(z, lo), hi)
+              for z, (lo, hi) in zip(labels, _label_ranges(inst))]
     if inst.variant is Variant.VERTEX:
         for v in cut.members:
             labels[v] = -1

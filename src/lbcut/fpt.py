@@ -34,8 +34,8 @@ class PruneResult:
 
 def prune_to_relevant(inst: Instance) -> PruneResult:
     g = inst.graph
-    ds = bfs_distances(g, inst.s)
-    dt = bfs_distances(g, inst.t)
+    ds = bfs_distances(g, inst.s, cap=inst.L)
+    dt = bfs_distances(g, inst.t, cap=inst.L)
     kept = tuple(v for v in g.sorted_vertices()
                  if ds[v] is not None and dt[v] is not None
                  and ds[v] + dt[v] <= inst.L)

@@ -194,12 +194,14 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
     return reached
 
 
-def bfs_distances(g: Graph, source: int) -> tuple[Optional[int], ...]:
-    """Hop distance from source to every vertex (None if unreachable)."""
+def bfs_distances(g: Graph, source: int,
+                  cap: Optional[int] = None) -> tuple[Optional[int], ...]:
+    """Hop distance from source to every vertex (None if unreachable, or
+    farther than ``cap``)."""
     if not g.has_vertex(source):
         raise GraphError(f"source {source} is not a vertex of the graph")
     dist: list[Optional[int]] = [None] * g.n
-    for v, (d, _) in capped_bfs(g, source).items():
+    for v, (d, _) in capped_bfs(g, source, cap).items():
         dist[v] = d
     return tuple(dist)
 

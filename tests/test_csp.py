@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -6,9 +7,10 @@ import pytest
 from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
                    InvalidAssignment, InvalidCut, NoVertexCut, Variant,
                    bfs_distances, brute_force_csp, brute_force_cut,
-                   constraint_graph, cut_to_assignment, decode_edge,
-                   decode_vertex, encode_edge_cut, encode_vertex_cut,
-                   verify_cut, violated_soft_count)
+                   build_heuristic, constraint_graph, cut_to_assignment,
+                   decode_edge, decode_vertex, encode_edge_cut,
+                   encode_vertex_cut, solve_min_csp, verify_cut,
+                   violated_soft_count)
 from lbcut.csp import satisfies_all_hard
 
 from conftest import atlas_graphs, grid_graph, random_graph
@@ -22,7 +24,7 @@ def test_encode_edge_single_edge():
     g = Graph.from_edges(2, [(0, 1)])
     inst = Instance(g, 0, 1, 1, Variant.EDGE)
     q = encode_edge_cut(inst)
-    assert q.domains[0] == (0, 1, 2)
+    assert q.domains == ((0, 1), (1, 2))
     assert brute_force_csp(q).cost == 1
 
 
@@ -36,10 +38,10 @@ def test_encode_edge_path_costs():
 def test_encode_edge_soft_relation_closed_form():
     inst = Instance(PATH4, 0, 3, 3, Variant.EDGE)
     q = encode_edge_cut(inst)
-    dom = q.domains[0]
-    expected = frozenset((a, b) for a in dom for b in dom if abs(a - b) <= 1)
     for c in q.soft:
-        assert c.allowed == expected
+        du, dv = (q.domains[v] for v in c.scope)
+        assert c.allowed == frozenset(
+            (a, b) for a in du for b in dv if abs(a - b) <= 1)
 
 
 def test_encode_vertex_costs():
@@ -106,10 +108,10 @@ def test_decode_vertex_rejects_broken_edge_constraint():
 def test_cut_to_assignment_examples():
     inst = Instance(PATH4, 0, 3, 3, Variant.EDGE)
     z = cut_to_assignment(inst, CutSet(Variant.EDGE, ((1, 2),)))
-    assert z == (0, 1, 4, 4)
+    assert z == (0, 1, 3, 4)  # vertex 2's domain is 2..3
 
     disconnected = Instance(Graph.from_edges(3, [(0, 1)]), 0, 2, 2, Variant.EDGE)
-    assert cut_to_assignment(disconnected, CutSet(Variant.EDGE, ())) == (0, 1, 3)
+    assert cut_to_assignment(disconnected, CutSet(Variant.EDGE, ())) == (0, 0, 3)
 
     instd = Instance(DIAMOND, 0, 3, 2, Variant.VERTEX)
     z2 = cut_to_assignment(instd, CutSet(Variant.VERTEX, (1, 2)))
@@ -122,8 +124,19 @@ def test_cut_to_assignment_rejects_infeasible():
         cut_to_assignment(inst, CutSet(Variant.EDGE, ()))
 
 
+def _reference_ranges(inst):
+    """Each vertex's (least, greatest) label, from uncapped BFS distances."""
+    L = inst.L
+    ds = bfs_distances(inst.graph, inst.s)
+    dt = bfs_distances(inst.graph, inst.t)
+    lo = [L + 1 if d is None else min(d, L + 1) for d in ds]
+    hi = [0 if d is None else L + 1 - min(d, L + 1) for d in dt]
+    return [(min(a, b), b) for a, b in zip(lo, hi)]
+
+
 def _reference_labels(inst, cut):
-    """BFS labels on a copy of the graph with the cut deleted."""
+    """BFS labels on a copy of the graph with the cut deleted, clamped into
+    the label domains."""
     if cut.variant is Variant.EDGE:
         rest = inst.graph.without_edges(cut.members)
     else:
@@ -132,10 +145,11 @@ def _reference_labels(inst, cut):
     if dist[inst.t] is not None and dist[inst.t] <= inst.L:
         raise InvalidCut("cut is not feasible, no labeling exists")
     L = inst.L
+    ranges = _reference_ranges(inst)
     return tuple(
         -1 if cut.variant is Variant.VERTEX and v in cut.members
-        else L + 1 if dist[v] is None else min(dist[v], L + 1)
-        for v in range(inst.graph.n))
+        else min(max(L + 1 if dist[v] is None else dist[v], lo), hi)
+        for v, (lo, hi) in enumerate(ranges))
 
 
 def test_cut_to_assignment_matches_labels_of_the_cut_graph():
@@ -168,10 +182,90 @@ def test_encodings_share_one_relation_object_per_relation():
     q = encode_vertex_cut(Instance(g, 0, 15, 6, Variant.VERTEX))
     edge_hard = [c for c in q.hard if len(c.scope) == 2]
     assert len(edge_hard) == g.m
-    assert len({id(c.allowed) for c in edge_hard}) <= 3
+    assert (len({id(c.allowed) for c in edge_hard})
+            == len({(q.domains[u], q.domains[v]) for u, v in g.edges}))
+    assert len(q.soft) == g.n - 2
+    assert (len({id(c.allowed) for c in q.soft})
+            == len({q.domains[c.scope[0]] for c in q.soft}))
     q = encode_edge_cut(Instance(g, 0, 15, 6, Variant.EDGE))
     assert len(q.soft) == g.m
-    assert len({id(c.allowed) for c in q.soft}) == 1
+    assert (len({id(c.allowed) for c in q.soft})
+            == len({(q.domains[u], q.domains[v]) for u, v in g.edges}))
+
+
+def _full_domain_encoding(inst):
+    """Reference encoding in which every vertex takes every label 0..L+1,
+    plus -1 for "deleted" in the vertex variant."""
+    n, L = inst.graph.n, inst.L
+    base = tuple(range(L + 2))
+    hard = [Constraint((inst.s,), frozenset({(0,)})),
+            Constraint((inst.t,), frozenset({(L + 1,)}))]
+    if inst.variant is Variant.EDGE:
+        near = frozenset((a, b) for a in base for b in base if abs(a - b) <= 1)
+        soft = [Constraint(e, near) for e in sorted(inst.graph.edges)]
+        return CspInstance(n, (base,) * n, hard, soft)
+    wild = (-1,) + base
+    domains = tuple(base if v in (inst.s, inst.t) else wild for v in range(n))
+    for u, v in sorted(inst.graph.edges):
+        hard.append(Constraint((u, v), frozenset(
+            (a, b) for a in domains[u] for b in domains[v]
+            if a == -1 or b == -1 or abs(a - b) <= 1)))
+    kept = frozenset((x,) for x in base)
+    soft = [Constraint((v,), kept) for v in inst.graph.sorted_vertices()
+            if v not in (inst.s, inst.t)]
+    return CspInstance(n, domains, hard, soft)
+
+
+def _encode(inst):
+    return (encode_edge_cut if inst.variant is Variant.EDGE
+            else encode_vertex_cut)(inst)
+
+
+def test_bounded_domains_keep_the_full_domain_optimum():
+    rng = random.Random(1705)
+    graphs = [(g, 0, g.n - 1) for g in atlas_graphs(6) if g.n >= 2]
+    for _ in range(200):
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.randint(0, 2 * n))
+        s, t = rng.sample(range(n), 2)
+        g = g.induced({s, t} | {v for v in range(n) if rng.random() < 0.8})
+        graphs.append((g, s, t))
+    seen = set()
+    for g, s, t in graphs:
+        td = build_heuristic(g)
+        ds, dt = bfs_distances(g, s), bfs_distances(g, t)
+        for L in range(1, 7):
+            for variant in (Variant.EDGE, Variant.VERTEX):
+                if variant is Variant.VERTEX and g.has_edge(s, t):
+                    continue
+                inst = Instance(g, s, t, L, variant)
+                want = solve_min_csp(_full_domain_encoding(inst), td).cost
+                assert solve_min_csp(_encode(inst), td).cost == want, (
+                    sorted(g.edges), s, t, L, variant)
+                seen.add((variant, want > 0))
+                if ds[t] is None:
+                    seen.add("disconnected terminals")
+                if len(g.vertices) < g.n:
+                    seen.add("absent vertices")
+                if any(a is not None and b is not None and a + b > L + 1
+                       for a, b in zip(ds, dt)):
+                    seen.add("vertices off every short path")
+    assert seen == {(v, c) for v in Variant for c in (False, True)} | {
+        "disconnected terminals", "absent vertices",
+        "vertices off every short path"}
+
+
+def test_full_domains_build_a_table_over_four_million_entries():
+    # The 5x6 grid from corner to corner at L=10, vertex variant: with every
+    # label in every domain the DP still builds a table of over 4 M entries.
+    g = grid_graph(5, 6)
+    inst = Instance(g, 0, 29, 10, Variant.VERTEX)
+    td = build_heuristic(g)
+    full, bounded = _full_domain_encoding(inst), encode_vertex_cut(inst)
+    largest = max(math.prod(len(full.domains[v]) for v in bag)
+                  for bag in td.bags)
+    assert largest > 4_000_000
+    assert solve_min_csp(full, td).cost == solve_min_csp(bounded, td).cost == 2
 
 
 def _all_assignments(q):

@@ -159,6 +159,18 @@ def test_fpt_grid_with_table_over_four_million_entries():
     assert best < 30.0, f"took {best:.1f}s"
 
 
+def test_fpt_corner_grids_with_bounded_label_domains():
+    # Corner to corner: s has degree 2 and the two border paths are
+    # disjoint, so the optimum is 2.  With every label in every domain
+    # these instances exceeded the table budget or took seconds.
+    for side, L, variant in ((6, 10, Variant.EDGE),
+                             (8, 14, Variant.EDGE), (8, 14, Variant.VERTEX),
+                             (10, 18, Variant.EDGE), (10, 18, Variant.VERTEX)):
+        g = parse_instance(generate("grid", [side, side]))
+        inst = Instance(g, 0, side * side - 1, L, variant)
+        assert solve_fpt(inst).size == 2, (side, L, variant)
+
+
 def test_solve_exact_cut_cycle():
     assert solve_exact_cut(Instance(C5, 0, 2, 3, Variant.EDGE)).size == 2
     assert solve_exact_cut(Instance(C5, 0, 2, 2, Variant.EDGE)).size == 1
