@@ -168,15 +168,10 @@ def encode_vertex_cut(inst: Instance) -> CspInstance:
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
     hard += _edge_constraints(inst.graph, domains)
-    kept = {}  # one unary relation per distinct domain
-    soft = []
-    for v in inst.graph.sorted_vertices():
-        if v not in (inst.s, inst.t):
-            if domains[v] not in kept:
-                kept[domains[v]] = frozenset(
-                    (x,) for x in domains[v] if x != -1)
-            soft.append(Constraint((v,), kept[domains[v]]))
-    return CspInstance(inst.graph.n, domains, tuple(hard), tuple(soft))
+    kept = {d: frozenset((x,) for x in d if x != -1) for d in set(domains)}
+    soft = tuple(Constraint((v,), kept[domains[v]])
+                 for v in inst.graph.sorted_vertices() if v not in (inst.s, inst.t))
+    return CspInstance(inst.graph.n, domains, tuple(hard), soft)
 
 
 def _check_labels(inst: Instance, z: Assignment) -> None:
