@@ -1,8 +1,17 @@
 """Rooted tree decompositions: validation, the elimination heuristic,
-surgery, PACE I/O."""
+surgery, PACE I/O.
+
+The elimination heuristic (``build_heuristic``) repeatedly eliminates the
+vertex with the least (degree, fill-in, id) key in the graph completed so
+far.  It keeps the keys in one heap with lazy deletion, so a step costs
+what the elimination touches rather than a scan of every vertex: only the
+keys of the eliminated vertex's neighbours and of the common neighbours of
+its new fill edges can change, and only those are queued again.
+"""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -143,13 +152,10 @@ def validate(td: TreeDecomposition, g: Graph) -> ValidationResult:
 
 
 def _fill_in(work: dict[int, set[int]], v: int) -> int:
-    nbrs = sorted(work[v])
-    count = 0
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if y not in work[x]:
-                count += 1
-    return count
+    """Missing edges among v's neighbours: each neighbour x misses
+    nbrs - work[x], which counts x itself and every missing pair twice."""
+    nbrs = work[v]
+    return (sum(len(nbrs - work[x]) for x in nbrs) - len(nbrs)) // 2
 
 
 def build_heuristic(g: Graph) -> TreeDecomposition:
@@ -161,23 +167,56 @@ def build_heuristic(g: Graph) -> TreeDecomposition:
     not-yet-eliminated neighbors in the completion.  Node i holds the bag
     of the i-th eliminated vertex; its parent is the node of the
     earliest-eliminated other bag member.
+
+    The keys sit in one heap with lazy deletion: ``key`` holds each live
+    vertex's current entry, and a popped entry that differs from it is
+    dropped.  A vertex whose fill-in is not yet known is queued as
+    (degree, -1, id).  Popping it computes the fill-in and queues the full
+    key again, so the heap never orders by a stale fill-in, and fill-in is
+    only computed for vertices that reach the least degree.  A popped full
+    key is the least: every live vertex's entry is at most its true key.
+
+    Eliminating v with neighbourhood N removes v and adds the missing
+    edges inside N.  A vertex's degree changes only if it lies in N.  Its
+    fill-in changes only if its neighbourhood changed (it lies in N) or a
+    new edge (x, y) joins two of its neighbours (it is a common neighbour
+    of x and y).  Those vertices are queued again; no other key can change.
     """
     if not g.vertices:
         raise GraphError("cannot decompose an empty graph")
     work = {v: set(g.neighbors(v)) for v in g.sorted_vertices()}
+    key = {v: (len(nbrs), -1, v) for v, nbrs in work.items()}
+    heap = list(key.values())
+    heapq.heapify(heap)
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
     while work:
-        d = min(len(x) for x in work.values())
-        v = min((u for u in work if len(work[u]) == d),
-                key=lambda u: (_fill_in(work, u), u))
+        entry = heapq.heappop(heap)
+        d, fill, v = entry
+        if key.get(v) != entry:
+            continue
+        if fill < 0:
+            key[v] = (d, _fill_in(work, v), v)
+            heapq.heappush(heap, key[v])
+            continue
+        del key[v]
         nbrs = work.pop(v)
         order.append(v)
         bags.append(tuple(sorted({v} | nbrs)))
         for u in nbrs:
-            work[u] |= nbrs
-            work[u].discard(u)
             work[u].discard(v)
+        new_edges = [(x, y) for x in nbrs for y in nbrs - work[x] if x < y]
+        for x, y in new_edges:
+            work[x].add(y)
+            work[y].add(x)
+        stale = set(nbrs)
+        for x, y in new_edges:
+            stale |= work[x] & work[y]
+        for u in stale:
+            entry = (len(work[u]), -1, u)
+            if key[u] != entry:
+                key[u] = entry
+                heapq.heappush(heap, entry)
     pos = {v: i for i, v in enumerate(order)}
     edges = []
     for i, bag in enumerate(bags):

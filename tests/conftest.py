@@ -144,6 +144,14 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
+def fan_instance(k: int) -> Instance:
+    """s = 0 and t = 1 adjacent to every vertex of the path 2..k+1, L = 2."""
+    path = list(range(2, k + 2))
+    edges = [(0, p) for p in path] + [(1, p) for p in path]
+    edges += list(zip(path, path[1:]))
+    return Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
+
+
 def random_csp(rng: random.Random, max_vars=10, max_dom=4) -> CspInstance:
     """Random binary-relation CSP with a random hard/soft split."""
     nv = rng.randint(1, max_vars)

@@ -6,10 +6,10 @@ import pytest
 from lbcut import (Graph, Instance, InvalidDecomposition, NoVertexCut,
                    TreeDecomposition, UNKNOWN, Variant, approx_auto,
                    approx_vertex_cut, brute_force_cut, build_heuristic,
-                   enumerate_short_paths, rooted_at, validate, verify_cut,
-                   width)
+                   enumerate_short_paths, generate, parse_instance, rooted_at,
+                   validate, verify_cut, width)
 
-from conftest import atlas_graphs, grid_graph
+from conftest import atlas_graphs, fan_instance, grid_graph
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -20,14 +20,6 @@ def _two_shapes(g: Graph, rng: random.Random) -> tuple[TreeDecomposition, ...]:
     node (g has at least two vertices, so at least two nodes)."""
     td = build_heuristic(g)
     return td, rooted_at(td, rng.randrange(1, td.n_nodes))
-
-
-def _fan(k: int) -> Instance:
-    """s = 0 and t = 1 adjacent to every vertex of the path 2..k+1, L = 2."""
-    path = list(range(2, k + 2))
-    edges = [(0, p) for p in path] + [(1, p) for p in path]
-    edges += list(zip(path, path[1:]))
-    return Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
 
 
 def test_path_cut_of_size_one():
@@ -177,7 +169,7 @@ def test_long_fan_runs_without_recursion():
     # steps (the first deletes two path vertices), far more than the
     # default recursion limit.
     k = 1500
-    inst = _fan(k)
+    inst = fan_instance(k)
     start = time.perf_counter()
     res = approx_auto(inst)
     elapsed = time.perf_counter() - start
@@ -187,12 +179,26 @@ def test_long_fan_runs_without_recursion():
 
 
 def test_build_heuristic_on_long_fan_is_fast():
-    # Until the last few steps only the two ends of the remaining path
-    # have the least degree, so a step computes at most two fill-ins.
-    g = _fan(4000).graph
+    # The heap computes fill-in only for vertices that reach the least
+    # degree, and a step queues again only the eliminated vertex's
+    # neighbours and the common neighbours of its new fill edges.  On the
+    # fan, once the first step has joined the two hubs, that is the hubs
+    # and the path vertex next to the eliminated end, and the hubs'
+    # fill-in (quadratic in k) is never computed.
+    g = fan_instance(4000).graph
     start = time.perf_counter()
     td = build_heuristic(g)
     elapsed = time.perf_counter() - start
     assert validate(td, g).ok
     assert width(td) == 3
-    assert elapsed < 20.0, f"k=4000 took {elapsed:.1f}s"
+    assert elapsed < 2.0, f"k=4000 took {elapsed:.2f}s"
+
+
+def test_build_heuristic_on_large_partial_3_tree_is_fast():
+    g = parse_instance(generate("partial-ktree", [800, 3, 0.8], seed=0))
+    start = time.perf_counter()
+    td = build_heuristic(g)
+    elapsed = time.perf_counter() - start
+    assert validate(td, g).ok
+    assert width(td) <= 3
+    assert elapsed < 2.0, f"n=800 took {elapsed:.2f}s"

@@ -8,7 +8,8 @@ from lbcut import (Graph, ParseError, TreeDecomposition, build_heuristic,
                    rooted_at, split_at, subtree_vertex_sets, validate, width,
                    write_td)
 
-from conftest import exact_treewidth, grid_graph, random_graph, random_tree
+from conftest import (exact_treewidth, fan_instance, grid_graph, random_graph,
+                      random_tree)
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -166,15 +167,29 @@ def _reference_elimination(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), frozenset(edges), root=0)
 
 
+def _assert_follows_rule(g: Graph) -> None:
+    td = build_heuristic(g)
+    want = _reference_elimination(g)
+    assert (td.bags, td.tree_edges, td.root) == \
+        (want.bags, want.tree_edges, want.root), g
+
+
 def test_build_heuristic_follows_degree_fill_in_id_rule():
     rng = random.Random(53)
     for _ in range(300):
         n = rng.randint(1, 16)
-        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
-        td = build_heuristic(g)
-        want = _reference_elimination(g)
-        assert (td.bags, td.tree_edges, td.root) == \
-            (want.bags, want.tree_edges, want.root), g
+        _assert_follows_rule(
+            random_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+    # The benchmark's graph classes, whole and with about 30% of their
+    # vertices absent.
+    classes = [fan_instance(k).graph for k in (100, 120)]
+    classes += [parse_instance(generate("grid", [r, r])) for r in range(4, 17, 2)]
+    classes += [parse_instance(generate("partial-ktree", [300, k, 0.7], seed=seed))
+                for k, seed in ((3, 11), (4, 15))]
+    for g in classes:
+        _assert_follows_rule(g)
+        _assert_follows_rule(
+            g.induced(v for v in g.sorted_vertices() if rng.random() < 0.7))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
