@@ -2,9 +2,14 @@
 
 Given a rooted tree decomposition of width w, the returned cut is feasible,
 at most w times the optimum, and comes with a certified lower bound on the
-optimum.  One loop runs over the original graph and decomposition with a
-shrinking set of alive vertices; a node's live bag (live subtree set) is its
-bag (the union of the bags in its subtree) restricted to them.  While an s-t
+optimum.  ``approx_auto`` first prunes to the vertices some short s-t path
+can use, with the exact solver's front end (``fpt.prune_to_relevant``), and
+decomposes only them, so w is the width of the pruned graph's
+decomposition, never of the parts no short path reaches.
+
+One loop runs over the instance graph and decomposition with a shrinking
+set of alive vertices; a node's live bag (live subtree set) is its bag (the
+union of the bags in its subtree) restricted to them.  While an s-t
 path of length <= L (a short path) remains among the alive vertices:
 
   1. if no bag holds both s and t, add a minimum vertex cut (at most w
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidDecomposition, LbcutError, NoVertexCut
+from .fpt import prune_to_relevant
 from .graph import (CutSet, Instance, Variant, hop_distance, min_vertex_cut,
                     verify_cut)
 # split_at, prune_decomposition: unused, kept for the benchmark's tracer
@@ -135,8 +141,30 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
 
 
 def approx_auto(inst: Instance) -> ApproxResult:
-    """Build a heuristic decomposition, then approximate with it."""
+    """Prune to the short-path region, decompose it, and approximate there.
+
+    The front end is ``fpt.prune_to_relevant``.  With no short path the
+    empty cut is returned (``lower_bound`` 0, ``width_used`` None).  When
+    pruning drops nothing the instance runs as given; otherwise on the
+    induced subgraph of the kept vertices, which keeps the original ids, so
+    the trace names original vertices.  Every short path lies in that
+    subgraph, so its cut is a cut of the original graph (verified there
+    again) and its disjoint short paths certify the same lower bound.  The
+    factor ``width_used`` is the width of the pruned graph's decomposition.
+    """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
-    td = build_heuristic(inst.graph)
-    return approx_vertex_cut(inst, td)
+    kept = prune_to_relevant(inst).kept
+    if not kept:
+        return ApproxResult(CutSet(Variant.VERTEX, (), lower_bound=0,
+                                   algorithm="approx"), ())
+    g = inst.graph
+    if len(kept) == len(g.vertices):
+        return approx_vertex_cut(inst, build_heuristic(g))
+    sub = Instance(g.induced(kept), inst.s, inst.t, inst.L, Variant.VERTEX)
+    res = approx_vertex_cut(sub, build_heuristic(sub.graph))
+    if not verify_cut(inst, res.cut).feasible:
+        raise LbcutError(
+            "cut of the pruned graph failed verification on the original "
+            "graph; solver bug")
+    return res

@@ -21,12 +21,15 @@ besides -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .errors import InvalidAssignment, InvalidCut, NoVertexCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     capped_bfs, cut_blocks)
 
 Assignment = tuple[int, ...]
+# Hop distances (d_s, d_t) from s and from t, indexed by vertex id.
+Distances = tuple[Sequence[Optional[int]], Sequence[Optional[int]]]
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,19 @@ def constraint_graph(q: CspInstance) -> Graph:
     return Graph(q.num_vars, frozenset(range(q.num_vars)), frozenset(edges))
 
 
-def _label_ranges(inst: Instance) -> list[tuple[int, int]]:
+def _label_ranges(inst: Instance,
+                  distances: Optional[Distances] = None) -> list[tuple[int, int]]:
     """Each vertex's (least, greatest) label, see the module docstring.
 
+    ``distances`` gives every vertex's hop distances from s and from t when
+    the caller already has them; otherwise two L-capped searches find them.
     Distances past L (None) count as L+1, so absent vertices get (0, 0).
     """
     L = inst.L
-    ds = bfs_distances(inst.graph, inst.s, cap=L)
-    dt = bfs_distances(inst.graph, inst.t, cap=L)
+    if distances is None:
+        distances = (bfs_distances(inst.graph, inst.s, cap=L),
+                     bfs_distances(inst.graph, inst.t, cap=L))
+    ds, dt = distances
     ranges = []
     for a, b in zip(ds, dt):
         lo = L + 1 if a is None else a
@@ -142,21 +150,31 @@ def _edge_constraints(g: Graph, domains) -> list[Constraint]:
     return out
 
 
-def encode_edge_cut(inst: Instance) -> CspInstance:
-    """Edge-cut encoding: soft near-constraints on edges, cost = cut size."""
+def encode_edge_cut(inst: Instance, *,
+                    distances: Optional[Distances] = None) -> CspInstance:
+    """Edge-cut encoding: soft near-constraints on edges, cost = cut size.
+
+    ``distances``, when given, must be the instance graph's hop distances
+    from s and t capped at L (``fpt.prune_to_relevant`` has them); they set
+    the label domains.
+    """
     if inst.variant is not Variant.EDGE:
         raise ValueError("encode_edge_cut requires an edge-cut instance")
     L = inst.L
     domains = tuple(tuple(range(lo, hi + 1))
-                    for lo, hi in _label_ranges(inst))
+                    for lo, hi in _label_ranges(inst, distances))
     hard = (Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)})))
     soft = _edge_constraints(inst.graph, domains)
     return CspInstance(inst.graph.n, domains, hard, tuple(soft))
 
 
-def encode_vertex_cut(inst: Instance) -> CspInstance:
-    """Vertex-cut encoding: -1 wildcard on hard edge constraints, unary costs."""
+def encode_vertex_cut(inst: Instance, *,
+                      distances: Optional[Distances] = None) -> CspInstance:
+    """Vertex-cut encoding: -1 wildcard on hard edge constraints, unary costs.
+
+    ``distances`` is as in ``encode_edge_cut``.
+    """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
     if inst.graph.has_edge(inst.s, inst.t):
@@ -164,7 +182,7 @@ def encode_vertex_cut(inst: Instance) -> CspInstance:
     L = inst.L
     domains = tuple(
         (() if v in (inst.s, inst.t) else (-1,)) + tuple(range(lo, hi + 1))
-        for v, (lo, hi) in enumerate(_label_ranges(inst)))
+        for v, (lo, hi) in enumerate(_label_ranges(inst, distances)))
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
     hard += _edge_constraints(inst.graph, domains)

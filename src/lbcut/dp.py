@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .csp import (Constraint, CspInstance, CspSolution, decode_edge,
-                  decode_vertex, encode_edge_cut, encode_vertex_cut)
+from .csp import (Constraint, CspInstance, CspSolution, Distances,
+                  decode_edge, decode_vertex, encode_edge_cut,
+                  encode_vertex_cut)
 from .errors import (DecompositionMismatch, InvalidDecomposition, LbcutError,
                      ResourceExceeded)
 from .graph import CutSet, Instance, Variant, verify_cut
@@ -172,12 +173,17 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
 
 def solve_exact_cut(inst: Instance,
                     td: Optional[TreeDecomposition] = None, *,
-                    table_budget: int = TABLE_BUDGET) -> CutSet:
-    """Optimal L-bounded cut via the CSP route, with the width it ran on."""
+                    table_budget: int = TABLE_BUDGET,
+                    distances: Optional[Distances] = None) -> CutSet:
+    """Optimal L-bounded cut via the CSP route, with the width it ran on.
+
+    ``distances`` passes the prune's hop distances on to the encoder, as in
+    ``csp.encode_edge_cut``; without them the encoder searches itself.
+    """
     if inst.variant is Variant.EDGE:
-        q = encode_edge_cut(inst)
+        q = encode_edge_cut(inst, distances=distances)
     else:
-        q = encode_vertex_cut(inst)
+        q = encode_vertex_cut(inst, distances=distances)
     if td is None:
         td = build_heuristic(inst.graph)
     sol = solve_min_csp(q, td, table_budget=table_budget)

@@ -1,19 +1,30 @@
-"""Exact solving after pruning to the vertices that short s-t paths can use.
+"""One front end for every solver: prune to the vertices short s-t paths can use.
 
 A vertex can lie on an s-t path of length at most L only if
-d(s,v) + d(t,v) <= L.  Solving on the induced subgraph of those vertices is
-optimal for the original instance: no short path can leave the subgraph, and
-the subgraph optimum is a lower bound.  Cuts are verified on the original
-graph anyway, as defense in depth.
+d(s,v) + d(t,v) <= L.  ``prune_to_relevant`` runs the two L-capped BFS
+searches, from s and from t, once per solve, and keeps those vertices.
+Solving on their induced subgraph is optimal for the original instance: no
+short path can leave the subgraph, and the subgraph optimum is a lower
+bound.  When t is more than L from s nothing is kept: no short path exists
+and the empty cut is optimal.
+
+The prune's distances are the subgraph's own: if v is kept, every vertex u
+on a shortest s-v path has d(s,u) + d(u,t) <= d(s,v) + d(v,t) <= L, so u is
+kept too (likewise towards t).  ``solve_fpt`` therefore hands them to the
+CSP encoder instead of searching the subgraph again, and ``approx_auto``
+decomposes only the kept region.  Cuts are verified on the original graph
+anyway, as defense in depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError, NoVertexCut
+# hop_distance: unused, kept for the benchmark's tracer
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
 from .treedec import TreeDecomposition, build_heuristic
@@ -21,30 +32,43 @@ from .treedec import TreeDecomposition, build_heuristic
 
 @dataclass(frozen=True)
 class PruneResult:
-    """Induced relevant subgraph with a dense relabeling.
+    """The vertices short s-t paths can use, with their distances.
 
-    ``kept`` lists surviving original ids ascending; new id i corresponds to
-    original id kept[i], and ``to_sub`` maps the other way.
+    ``kept`` lists the surviving original ids ascending, and is empty when t
+    is more than L from s.  New id i corresponds to original id kept[i], and
+    ``to_sub`` maps the other way.  ``d_s[i]`` and ``d_t[i]`` are the hop
+    distances of kept[i] from s and t, which are also its distances in
+    ``subgraph``, the induced subgraph of ``graph`` (the instance graph)
+    relabeled to 0..len(kept)-1.  The subgraph is built on first use.
     """
 
-    subgraph: Graph
     kept: tuple[int, ...]
     to_sub: dict[int, int]
+    d_s: tuple[int, ...]
+    d_t: tuple[int, ...]
+    graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def subgraph(self) -> Graph:
+        g, to_sub = self.graph, self.to_sub
+        edges = frozenset(
+            (i, j) for i, v in enumerate(self.kept) for w in g.neighbors(v)
+            if (j := to_sub.get(w, -1)) > i)
+        return Graph(len(self.kept), frozenset(range(len(self.kept))), edges)
 
 
 def prune_to_relevant(inst: Instance) -> PruneResult:
-    g = inst.graph
-    ds = bfs_distances(g, inst.s, cap=inst.L)
-    dt = bfs_distances(g, inst.t, cap=inst.L)
-    kept = tuple(v for v in g.sorted_vertices()
-                 if ds[v] is not None and dt[v] is not None
-                 and ds[v] + dt[v] <= inst.L)
-    to_sub = {v: i for i, v in enumerate(kept)}
-    edges = frozenset(
-        norm_edge(to_sub[u], to_sub[v])
-        for u, v in g.edges if u in to_sub and v in to_sub)
-    sub = Graph(len(kept), frozenset(range(len(kept))), edges)
-    return PruneResult(sub, kept, to_sub)
+    """Keep the vertices v with d(s,v) + d(v,t) <= L (none if t is out of reach)."""
+    g, L = inst.graph, inst.L
+    ds = bfs_distances(g, inst.s, cap=L)
+    if ds[inst.t] is None:
+        return PruneResult((), {}, (), (), g)
+    dt = bfs_distances(g, inst.t, cap=L)
+    kept = tuple(v for v, (a, b) in enumerate(zip(ds, dt))
+                 if a is not None and b is not None and a + b <= L)
+    return PruneResult(kept, {v: i for i, v in enumerate(kept)},
+                       tuple(ds[v] for v in kept), tuple(dt[v] for v in kept),
+                       g)
 
 
 def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
@@ -58,10 +82,10 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     g = inst.graph
     if inst.variant is Variant.VERTEX and g.has_edge(inst.s, inst.t):
         raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
-    if hop_distance(g, inst.s, inst.t, cap=inst.L) is None:
+    pr = prune_to_relevant(inst)
+    if not pr.kept:
         return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
 
-    pr = prune_to_relevant(inst)
     sub_inst = Instance(pr.subgraph, pr.to_sub[inst.s], pr.to_sub[inst.t],
                         inst.L, inst.variant)
     if td is not None:
@@ -71,7 +95,8 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
         sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
     else:
         sub_td = build_heuristic(pr.subgraph)
-    sub_cut = solve_exact_cut(sub_inst, sub_td, table_budget=table_budget)
+    sub_cut = solve_exact_cut(sub_inst, sub_td, table_budget=table_budget,
+                              distances=(pr.d_s, pr.d_t))
 
     if inst.variant is Variant.EDGE:
         members = tuple(norm_edge(pr.kept[u], pr.kept[v])

@@ -6,7 +6,11 @@ in the parent graph.
 
 One search, ``capped_bfs``, answers every hop-distance question:
 ``bfs_distances``, ``hop_distance``, ``verify_cut`` and
-``csp.cut_to_assignment`` all call it.  One flow routine, ``_source_side``,
+``csp.cut_to_assignment`` all call it.  A solve searches from s and from t
+once, in ``fpt.prune_to_relevant`` (through ``bfs_distances``), and the
+exact solver's encoder reuses those distances; the approximation's
+short-path tests go through ``hop_distance``, and every answer is checked
+by ``verify_cut``.  One flow routine, ``_source_side``,
 finds both minimum cuts: ``min_vertex_cut`` and ``min_edge_cut`` build a
 unit-capacity residual network and read their members off its source side.
 """
@@ -97,7 +101,8 @@ class Graph:
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         kept = frozenset(keep) & self.vertices
-        es = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
+        es = frozenset((u, w) for u in kept for w in self._adj[u]
+                       if u < w and w in kept)
         return Graph(self.n, kept, es)
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":

@@ -63,6 +63,35 @@ def test_trivial_when_terminals_far():
     inst = Instance(PATH4, 0, 3, 2, Variant.VERTEX)
     res = approx_auto(inst)
     assert res.cut.members == () and res.lower_bound == 0
+    assert res.width_used is None and res.trace == ()
+
+
+def _with_unreachable_clique(inst: Instance, size: int = 6) -> Instance:
+    """The instance plus a path of L+1 new vertices from s to a new clique
+    of ``size`` vertices: no s-t path of length at most L can use them."""
+    g, n, L = inst.graph, inst.graph.n, inst.L
+    path = [inst.s] + list(range(n, n + L + 1))
+    clique = [path[-1]] + list(range(n + L + 1, n + L + size))
+    edges = sorted(g.edges) + list(zip(path, path[1:]))
+    edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    return Instance(Graph.from_edges(n + L + size, edges), inst.s, inst.t,
+                    L, Variant.VERTEX)
+
+
+@pytest.mark.parametrize("base", [
+    fan_instance(12), fan_instance(40),
+    Instance(grid_graph(4, 4), 0, 15, 6, Variant.VERTEX),
+    Instance(grid_graph(4, 5), 0, 19, 9, Variant.VERTEX),
+], ids=["fan12", "fan40", "grid4x4", "grid4x5"])
+def test_auto_prunes_what_no_short_path_uses(base):
+    # The clique alone has width size-1 = 5, more than the base's width, so
+    # decomposing the whole graph would weaken the guarantee.
+    base_res = approx_auto(base)
+    res = approx_auto(_with_unreachable_clique(base))
+    assert res.cut == base_res.cut
+    assert res.lower_bound == base_res.lower_bound
+    assert res.trace == base_res.trace
+    assert res.width_used <= base_res.width_used < 5
 
 
 def test_grid_ratio():

@@ -100,7 +100,7 @@ def test_bench_output_golden(tmp_path, capsys):
         "instance,algo,size,lower_bound,width_used,elapsed_ms,"
         "ratio_vs_oracle,error",
         "a_cycle5.lbcut,exact,1,1,1,<ms>,1.0000,",
-        "a_cycle5.lbcut,approx,2,1,2,<ms>,2.0000,",
+        "a_cycle5.lbcut,approx,1,1,1,<ms>,1.0000,",
         "a_cycle5.lbcut,brute,1,1,,<ms>,1.0000,",
         "a_cycle5.lbcut,mincut-baseline,2,,,<ms>,2.0000,",
     ]
@@ -123,6 +123,23 @@ def test_solve_trivial_when_terminals_far(tmp_path, capsys):
         "--length", "99", "--variant", "edge", "--json"])
     assert code == 0
     assert json.loads(out)["size"] == 0
+
+
+def test_approx_trivial_when_terminals_far(tmp_path, capsys):
+    p = tmp_path / "two_paths.lbcut"
+    p.write_text("p lbcut 4 2\ne 1 2\ne 3 4\n")
+    args = ["solve", "--graph", str(p), "--source", "1", "--sink", "4",
+            "--length", "99", "--variant", "vertex", "--algo", "approx"]
+    code, out, _ = run(capsys, args + ["--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["size"] == 0 and report["lower_bound"] == 0
+    assert report["width_used"] is None
+    code, out, _ = run(capsys, args)
+    assert code == 0
+    assert _mask_elapsed(out) == (
+        "algorithm: approx\nvariant: vertex\nL: 99\ncut: \nsize: 0\n"
+        "feasible: true\nlower_bound: 0\nelapsed_ms: <ms>\n")
 
 
 def test_approx_edge_variant_is_usage_error(path_graph, capsys):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+import lbcut.graph
 from lbcut import (Graph, Instance, NoVertexCut, UNKNOWN, Variant,
-                   bfs_distances, brute_force_cut, build_heuristic,
-                   hop_distance, prune_to_relevant, solve_exact_cut,
-                   solve_fpt)
+                   bfs_distances, brute_force_cut, build_heuristic, generate,
+                   hop_distance, parse_instance, prune_to_relevant,
+                   solve_exact_cut, solve_fpt)
 
-from conftest import grid_graph, subdivide
+from conftest import atlas_graphs, grid_graph, subdivide
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -144,3 +145,59 @@ def test_supplied_decomposition_is_pruned_and_used():
     assert cut.size == 1
     assert prune_to_relevant(inst).kept == (0, 1, 2, 3)
     assert cut.width_used == 1
+
+
+def _check_prune_distances(inst: Instance) -> bool:
+    """The prune's d_s and d_t are the pruned subgraph's own distances
+    from s and t (within L of both); False when nothing was kept."""
+    pr = prune_to_relevant(inst)
+    if not pr.kept:
+        assert pr.d_s == pr.d_t == ()
+        return False
+    for dist, x in ((pr.d_s, inst.s), (pr.d_t, inst.t)):
+        assert dist == bfs_distances(pr.subgraph, pr.to_sub[x], cap=inst.L)
+    return True
+
+
+def test_prune_distances_are_the_subgraphs_on_the_atlas():
+    # The encoder takes its label ranges from these distances instead of
+    # searching the subgraph again; this is the claim that makes it sound.
+    kept = 0
+    for g in atlas_graphs(6):
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                for L in (1, 2, 3, 4):
+                    kept += _check_prune_distances(
+                        Instance(g, s, t, L, Variant.EDGE))
+    assert kept > 1000
+
+
+def test_prune_distances_are_the_subgraphs_on_partial_3_trees():
+    rng = random.Random(5)
+    for seed in range(4):
+        g = parse_instance(generate("partial-ktree", [80, 3, 0.7], seed=seed))
+        for _ in range(10):
+            s, t = rng.sample(range(g.n), 2)
+            d = hop_distance(g, s, t)
+            if d is None:
+                continue
+            for L in (d, d + 1, d + 2):
+                assert _check_prune_distances(
+                    Instance(g, s, t, L, Variant.EDGE))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_fpt_searches_four_times(monkeypatch, variant):
+    # Two searches in the prune, whose distances the encoder reuses, and
+    # one verification each of the subgraph's and the original's cut.
+    searches = []
+    real = lbcut.graph.capped_bfs
+
+    def counting(g, source, *args, **kwargs):
+        searches.append(source)
+        return real(g, source, *args, **kwargs)
+
+    monkeypatch.setattr(lbcut.graph, "capped_bfs", counting)
+    cut = solve_fpt(Instance(grid_graph(4, 4), 0, 15, 7, variant))
+    assert cut.size == 2
+    assert len(searches) == 4
