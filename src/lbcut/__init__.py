@@ -13,10 +13,9 @@ from .csp import (Assignment, Constraint, CspInstance, CspSolution,
                   decode_vertex, encode_edge_cut, encode_vertex_cut,
                   violated_soft_count)
 from .dp import solve_exact_cut, solve_min_csp
-from .errors import (BudgetExceeded, DecompositionMismatch, GraphError,
-                     InvalidAssignment, InvalidCut, InvalidDecomposition,
-                     LbcutError, NoVertexCut, ParseError, ResourceExceeded,
-                     UsageError)
+from .errors import (BudgetExceeded, GraphError, InvalidAssignment, InvalidCut,
+                     InvalidDecomposition, LbcutError, NoVertexCut, ParseError,
+                     ResourceExceeded, UsageError)
 from .fpt import PruneResult, prune_to_relevant, solve_fpt
 from .graph import (CutSet, Graph, Instance, Variant, VerifyResult,
                     bfs_distances, hop_distance, min_edge_cut, min_vertex_cut,
@@ -24,8 +23,8 @@ from .graph import (CutSet, Graph, Instance, Variant, VerifyResult,
 from .io import generate, load_instance, parse_instance, write_instance
 from .oracle import (UNKNOWN, Unknown, brute_force_cut, brute_force_csp,
                      enumerate_short_paths)
-from .treedec import (SubtreeSplit, TreeDecomposition, ValidationResult,
-                      build_heuristic, prune_decomposition, read_td, rooted_at,
-                      split_at, subtree_vertex_sets, validate, width, write_td)
+from .treedec import (SubtreeSplit, TreeDecomposition, build_heuristic,
+                      prune_decomposition, read_td, rooted_at, split_at,
+                      subtree_vertex_sets, validate, width, write_td)
 
 __version__ = "0.1.0"

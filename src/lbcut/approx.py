@@ -85,14 +85,13 @@ class ApproxResult:
 
 
 def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
-    """Run the approximation on a validated decomposition of the instance graph."""
+    """Run the approximation on a decomposition of the instance graph;
+    ``treedec.validate`` raises InvalidDecomposition if it is not one."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
     if inst.graph.has_edge(inst.s, inst.t):
         raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
-    check = validate(td, inst.graph)
-    if not check.ok:
-        raise InvalidDecomposition(check.violation)
+    validate(td, inst.graph)
     bag_sets = td.bag_sets()
 
     g, s, t, L = inst.graph, inst.s, inst.t, inst.L

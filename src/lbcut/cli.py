@@ -232,7 +232,10 @@ def cmd_bench(args) -> int:
                     row.update(instance=path.name, algo=algo, error=str(exc))
                     writer.writerow(row)
                 continue
-            oracle = brute_force_cut(inst, max_size=args.oracle_max_size)
+            try:
+                oracle = brute_force_cut(inst, max_size=args.oracle_max_size)
+            except NoVertexCut:  # no ratio; each row records the error
+                oracle = UNKNOWN
             oracle_size = None if oracle is UNKNOWN else oracle.size
             for algo in algos:
                 writer.writerow(

@@ -1,9 +1,11 @@
 """Minimum-cost CSP solving by dynamic programming over a tree decomposition.
 
 Every constraint, hard or soft, is charged at exactly one owner node: the
-topmost bag containing its whole scope, which is the deepest of its
-variables' top nodes (``treedec.top_nodes``); if that node's bag lacks the
-scope, no bag holds it.  Bottom-up over the rooted tree,
+topmost bag containing its whole scope, by ``treedec.scope_owners``, the
+rule ``treedec.validate`` applies to a graph's edges.  It raises
+InvalidDecomposition when a bag vertex is not a variable, a variable's bags
+do not form a subtree, or no bag holds some scope; the tree itself is
+checked when the TreeDecomposition is built.  Bottom-up over the rooted tree,
 each node's table is one numpy array with an axis per bag variable, in bag
 order, sized by that variable's domain.  Each owned constraint adds its
 penalty array over its scope, broadcast across the bag: 0 where allowed, 1
@@ -27,46 +29,11 @@ import numpy as np
 from .csp import (Constraint, CspInstance, CspSolution, Distances,
                   decode_edge, decode_vertex, encode_edge_cut,
                   encode_vertex_cut)
-from .errors import (DecompositionMismatch, InvalidDecomposition, LbcutError,
-                     ResourceExceeded)
+from .errors import LbcutError, ResourceExceeded
 from .graph import CutSet, Instance, Variant, verify_cut
-from .treedec import TreeDecomposition, build_heuristic, top_nodes, width
+from .treedec import TreeDecomposition, build_heuristic, scope_owners, width
 
 TABLE_BUDGET = 1 << 26
-
-
-def _top_nodes(q: CspInstance, td: TreeDecomposition) -> dict[int, int]:
-    """``treedec.top_nodes`` of a decomposition over q's variables; raises
-    DecompositionMismatch unless td is one."""
-    try:
-        top = top_nodes(td)
-    except InvalidDecomposition as exc:
-        raise DecompositionMismatch(str(exc)) from None
-    for v, a in top.items():
-        if not 0 <= v < q.num_vars:
-            raise DecompositionMismatch(
-                f"bag {a} references unknown variable {v}")
-    return top
-
-
-def _owners(td: TreeDecomposition, top: dict[int, int],
-            constraints) -> list[int]:
-    """Owner node of each constraint: the deepest top node among its scope's
-    variables, the topmost node whose bag holds the whole scope."""
-    owners = []
-    for c in constraints:
-        tops = [top.get(v) for v in c.scope]
-        a = None if None in tops else max(tops, key=td.depth.__getitem__)
-        if a is None or any(v not in td.bags[a] for v in c.scope):
-            raise DecompositionMismatch(
-                f"no bag covers constraint scope {c.scope}")
-        owners.append(a)
-    return owners
-
-
-def soft_owners(q: CspInstance, td: TreeDecomposition) -> list[int]:
-    """Owner node of each soft constraint: the topmost bag holding its scope."""
-    return _owners(td, _top_nodes(q, td), q.soft)
 
 
 def _penalty(q: CspInstance, c: Constraint, hard: bool,
@@ -118,15 +85,15 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     """Minimize violated soft constraints; None iff hard-infeasible.
 
     ``td`` must be a tree decomposition of the constraint graph whose bags
-    hold every constraint scope (DecompositionMismatch otherwise).  Variables
+    hold every constraint scope (InvalidDecomposition otherwise).  Variables
     that appear in no bag are unconstrained and get their domain minimum.
     """
-    top = _top_nodes(q, td)
+    cons = q.hard + q.soft
     # Before the empty-domain return: an uncovered scope raises regardless.
+    _, owners = scope_owners(td, [c.scope for c in cons], range(q.num_vars))
     owned: list[list[tuple[Constraint, bool]]] = [[] for _ in range(td.n_nodes)]
-    for hard, cons in ((True, q.hard), (False, q.soft)):
-        for c, a in zip(cons, _owners(td, top, cons)):
-            owned[a].append((c, hard))
+    for i, (c, a) in enumerate(zip(cons, owners)):
+        owned[a].append((c, i < len(q.hard)))
     if any(len(d) == 0 for d in q.domains):
         return None
 

@@ -21,12 +21,8 @@ class InvalidAssignment(LbcutError):
     """Assignment violates a domain or a hard constraint."""
 
 
-class DecompositionMismatch(LbcutError):
-    """Tree decomposition does not cover the CSP's constraint scopes."""
-
-
 class InvalidDecomposition(LbcutError):
-    """Tree decomposition failed validation or broke a solver guarantee."""
+    """Not a tree, or not a decomposition of the graph or CSP it is used on."""
 
 
 class ResourceExceeded(LbcutError):

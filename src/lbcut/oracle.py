@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .csp import CspInstance, CspSolution
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NoVertexCut
 from .graph import CutSet, Graph, Instance, Variant, bfs_distances, verify_cut
 
 DEFAULT_MAX_SIZE = 6
@@ -38,9 +38,13 @@ def brute_force_cut(inst: Instance,
     """First feasible cut in (cardinality, lexicographic) enumeration order.
 
     Returns UNKNOWN when no candidate set of size <= max_size is feasible;
-    that is an explicit "don't know", not infeasibility.
+    that is an explicit "don't know", not infeasibility.  Raises
+    NoVertexCut for a vertex cut between adjacent terminals, which no
+    subset can be.
     """
     g = inst.graph
+    if inst.variant is Variant.VERTEX and g.has_edge(inst.s, inst.t):
+        raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     if inst.variant is Variant.EDGE:
         candidates: list = sorted(g.edges)
     else:

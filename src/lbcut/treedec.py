@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import GraphError, InvalidDecomposition, ParseError
 from .graph import Graph
@@ -23,10 +23,12 @@ from .graph import Graph
 class TreeDecomposition:
     """A rooted tree of bags.  Nodes are 0..len(bags)-1.
 
-    The structure is not required to be a valid decomposition of any
-    particular graph at construction time; ``validate`` checks the axioms.
-    parent/children/depth are derived from the root (None for nodes that a
-    broken ``tree_edges`` leaves unreachable); ``order`` lists the reachable
+    Construction checks only the tree: it raises InvalidDecomposition
+    unless there is at least one node, the root is a node, and
+    ``tree_edges`` form a spanning tree (k-1 edges, every node reached from
+    the root).  Whether the bags decompose anything is checked by
+    ``scope_owners`` and ``validate``.  parent/children/depth are derived
+    from the root (only the root's parent is None); ``order`` lists the
     nodes root first, breadth first, so every parent precedes its children.
     """
 
@@ -35,21 +37,26 @@ class TreeDecomposition:
     root: int = 0
     parent: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
     children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    depth: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
+    depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bags = tuple(tuple(sorted(set(b))) for b in self.bags)
         object.__setattr__(self, "bags", bags)
         k = len(bags)
+        if k == 0:
+            raise InvalidDecomposition("decomposition has no nodes")
         edges = set()
         for x, y in self.tree_edges:
             if x == y or not (0 <= x < k and 0 <= y < k):
                 raise InvalidDecomposition(f"bad tree edge ({x},{y})")
             edges.add((x, y) if x < y else (y, x))
         object.__setattr__(self, "tree_edges", frozenset(edges))
-        if not 0 <= self.root < max(k, 1):
+        if not 0 <= self.root < k:
             raise InvalidDecomposition(f"root {self.root} out of range")
+        if len(edges) != k - 1:
+            raise InvalidDecomposition(
+                f"{len(edges)} tree edges over {k} nodes is not a tree")
 
         adj: list[list[int]] = [[] for _ in range(k)]
         for x, y in edges:
@@ -58,9 +65,8 @@ class TreeDecomposition:
         parent: list[Optional[int]] = [None] * k
         depth: list[Optional[int]] = [None] * k
         children: list[list[int]] = [[] for _ in range(k)]
-        order = [self.root] if k else []
-        if k:
-            depth[self.root] = 0
+        order = [self.root]
+        depth[self.root] = 0
         for a in order:  # grows while it is walked: a breadth-first queue
             for b in sorted(adj[a]):
                 if depth[b] is None:
@@ -68,6 +74,8 @@ class TreeDecomposition:
                     depth[b] = depth[a] + 1
                     children[a].append(b)
                     order.append(b)
+        if len(order) != k:
+            raise InvalidDecomposition("tree edges do not connect all nodes")
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "depth", tuple(depth))
@@ -81,15 +89,7 @@ class TreeDecomposition:
         return [frozenset(b) for b in self.bags]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violation: Optional[str] = None
-
-
 def width(td: TreeDecomposition) -> int:
-    if not td.bags:
-        raise InvalidDecomposition("empty decomposition has no width")
     return max(len(b) for b in td.bags) - 1
 
 
@@ -106,17 +106,10 @@ def top_nodes(td: TreeDecomposition) -> dict[int, int]:
     nodes lies in both: any common node has both tops as ancestors, and
     the path from the higher top to it passes through the deeper one.
 
-    Raises InvalidDecomposition if the tree edges do not form a tree over
-    the nodes, or if a vertex has two top nodes.
+    Raises InvalidDecomposition if a vertex has two top nodes, that is, if
+    the bags holding it do not form a subtree.  The tree itself was checked
+    when ``td`` was built.
     """
-    k = td.n_nodes
-    if k == 0:
-        raise InvalidDecomposition("decomposition has no nodes")
-    if len(td.tree_edges) != k - 1:
-        raise InvalidDecomposition(
-            f"{len(td.tree_edges)} tree edges over {k} nodes is not a tree")
-    if len(td.order) != k:
-        raise InvalidDecomposition("tree edges do not connect all nodes")
     bag_sets = td.bag_sets()
     top: dict[int, int] = {}
     for a in td.order:
@@ -130,25 +123,53 @@ def top_nodes(td: TreeDecomposition) -> dict[int, int]:
     return top
 
 
-def validate(td: TreeDecomposition, g: Graph) -> ValidationResult:
-    """Check the tree structure and the three decomposition axioms for g,
-    and that every bag vertex is a vertex of g."""
-    try:
-        top = top_nodes(td)
-    except InvalidDecomposition as exc:
-        return ValidationResult(False, str(exc))
-    for v in g.sorted_vertices():
-        if v not in top:
-            return ValidationResult(False, f"vertex {v} appears in no bag")
-    for v in sorted(top):
-        if v not in g.vertices:
-            return ValidationResult(
-                False, f"bag vertex {v} is not a vertex of the graph")
-    for u, v in sorted(g.edges):
-        a = max(top[u], top[v], key=td.depth.__getitem__)
-        if u not in td.bags[a] or v not in td.bags[a]:
-            return ValidationResult(False, f"edge ({u},{v}) is covered by no bag")
-    return ValidationResult(True)
+def scope_owners(td: TreeDecomposition, scopes: Iterable[Sequence[int]],
+                 universe: Container[int]) -> tuple[dict[int, int], list[int]]:
+    """The one rule by which a decomposition covers the edges of a
+    (hyper)graph over ``universe``: ``validate`` applies it to a graph's
+    edges, ``dp.solve_min_csp`` to its constraint scopes.
+
+    A scope's owner is the deepest top node of its vertices (``top_nodes``);
+    by the argument there it is the topmost node whose bag holds the whole
+    scope, if any bag does.  Returns the top-node map and each scope's
+    owner.  Raises InvalidDecomposition if the bags holding some vertex do
+    not form a subtree, a bag vertex lies outside ``universe``, or no bag
+    holds some scope.
+    """
+    top = top_nodes(td)
+    stray = [v for v in top if v not in universe]
+    if stray:
+        v = min(stray)
+        raise InvalidDecomposition(
+            f"bag vertex {v} at node {top[v]} is not a vertex of the graph")
+    # Distinct top nodes of equal depth mean that no bag holds the scope;
+    # whichever the (depth, node) key picks then fails the bag check.
+    depth = td.depth
+    key = {v: (depth[a], a) for v, a in top.items()}
+    bag_sets = td.bag_sets()
+    owners = []
+    for scope in scopes:
+        try:
+            a = max(map(key.__getitem__, scope))[1]
+        except KeyError as exc:
+            raise InvalidDecomposition(
+                f"vertex {exc.args[0]} appears in no bag") from None
+        if not bag_sets[a].issuperset(scope):
+            raise InvalidDecomposition(
+                f"edge ({','.join(map(str, scope))}) is covered by no bag")
+        owners.append(a)
+    return top, owners
+
+
+def validate(td: TreeDecomposition, g: Graph) -> None:
+    """Check that td is a tree decomposition of g: every vertex of g is in
+    some bag, every bag vertex is a vertex of g, and ``scope_owners`` finds
+    an owner for every edge.  Raises InvalidDecomposition otherwise; the
+    tree itself was checked when ``td`` was built."""
+    top, _ = scope_owners(td, g.edges, g.vertices)
+    missing = g.vertices - top.keys()
+    if missing:
+        raise InvalidDecomposition(f"vertex {min(missing)} appears in no bag")
 
 
 def _fill_in(work: dict[int, set[int]], v: int) -> int:
@@ -275,10 +296,8 @@ def split_at(td: TreeDecomposition, g: Graph, b: int) -> SubtreeSplit:
     above_ids = sorted(set(range(td.n_nodes)) - (below_set - {b}))
     below = _restrict(td, below_ids, b)
     above = _restrict(td, above_ids, td.root)
-    below_vertices = set().union(*below.bags) if below.bags else set()
-    above_vertices = set().union(*above.bags) if above.bags else set()
-    return SubtreeSplit(below, above,
-                        g.induced(below_vertices), g.induced(above_vertices))
+    return SubtreeSplit(below, above, g.induced(set().union(*below.bags)),
+                        g.induced(set().union(*above.bags)))
 
 
 def prune_decomposition(td: TreeDecomposition, g: Graph,

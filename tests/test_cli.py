@@ -153,11 +153,12 @@ def test_approx_edge_variant_is_usage_error(path_graph, capsys):
 def test_solve_vertex_adjacent_exit_code(tmp_path, capsys):
     p = tmp_path / "k2.lbcut"
     p.write_text("p lbcut 2 1\ne 1 2\n")
-    code, _, err = run(capsys, [
-        "solve", "--graph", str(p), "--source", "1", "--sink", "2",
-        "--length", "1", "--variant", "vertex", "--algo", "exact"])
-    assert code == 2
-    assert "no vertex cut" in err
+    for algo in ("exact", "approx", "brute", "mincut-baseline"):
+        code, _, err = run(capsys, [
+            "solve", "--graph", str(p), "--source", "1", "--sink", "2",
+            "--length", "1", "--variant", "vertex", "--algo", algo])
+        assert code == 2, algo
+        assert "no vertex cut exists" in err, algo
 
 
 def test_solve_with_supplied_decomposition(path_graph, tmp_path, capsys):
@@ -270,6 +271,30 @@ def test_bench_per_row_error_for_bad_instance(tmp_path, capsys):
     assert len(rows) == 4
     bad = [r for r in rows if r["instance"] == "z_broken.lbcut"]
     assert len(bad) == 1 and "self-loop" in bad[0]["error"]
+
+
+def test_bench_rows_when_no_vertex_cut_exists(tmp_path, capsys):
+    # Terminals 1 and 2 are adjacent in the triangle only: its oracle call
+    # raises and gives no ratio, every algorithm row records the error, and
+    # the next instance is benched as usual.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_triangle.lbcut").write_text("p lbcut 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    (corpus / "b_path.lbcut").write_text("p lbcut 3 2\ne 1 3\ne 3 2\n")
+    algos = ["exact", "approx", "brute", "mincut-baseline"]
+    code, out, _ = run(capsys, [
+        "bench", "--corpus", str(corpus), "--source", "1", "--sink", "2",
+        "--length", "2", "--variant", "vertex", "--algos", ",".join(algos)])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["instance"], r["algo"]) for r in rows] == \
+        [("a_triangle.lbcut", a) for a in algos] + \
+        [("b_path.lbcut", a) for a in algos]
+    for r in rows[:4]:
+        assert "adjacent" in r["error"] and r["ratio_vs_oracle"] == "", r
+    for r in rows[4:]:
+        assert r["error"] == "" and r["size"] == "1", r
+        assert r["ratio_vs_oracle"] == "1.0000", r
 
 
 def test_bench_oracle_over_budget_leaves_ratio_empty(tmp_path, capsys):

@@ -3,14 +3,14 @@ import time
 
 import pytest
 
-from lbcut import (Constraint, CspInstance, DecompositionMismatch, Graph,
-                   Instance, ResourceExceeded, TreeDecomposition, Variant,
-                   brute_force_csp, brute_force_cut, build_heuristic,
+from lbcut import (Constraint, CspInstance, Graph, Instance,
+                   InvalidDecomposition, ResourceExceeded, TreeDecomposition,
+                   Variant, brute_force_csp, brute_force_cut, build_heuristic,
                    constraint_graph, encode_edge_cut, encode_vertex_cut,
                    generate, parse_instance, rooted_at, solve_exact_cut,
                    solve_fpt, solve_min_csp, violated_soft_count)
 from lbcut.csp import satisfies_all_hard
-from lbcut.dp import soft_owners
+from lbcut.treedec import scope_owners
 
 from conftest import random_csp
 
@@ -51,19 +51,22 @@ def test_dp_scope_not_covered():
     for domains, allowed in ((((0,), (0,)), frozenset({(0, 0)})),
                              (((0,), ()), frozenset())):
         q = CspInstance(2, domains, (Constraint((0, 1), allowed),), ())
-        with pytest.raises(DecompositionMismatch):
+        with pytest.raises(InvalidDecomposition, match="covered by no bag"):
             solve_min_csp(q, td)
 
 
 def test_dp_rejects_non_tree():
     q = CspInstance(2, ((0,), (0,)), (), ())
+    # a forest is no TreeDecomposition at all
+    with pytest.raises(InvalidDecomposition, match="tree"):
+        TreeDecomposition(((0,), (1,)), frozenset())
     path = frozenset({(0, 1), (1, 2)})
-    for td in (TreeDecomposition(((0,), (1,)), frozenset()),
-               # variable 0's bags are not connected
-               TreeDecomposition(((0,), (1,), (0,)), path),
-               # variable 5 is out of range
-               TreeDecomposition(((0,), (1,), (5,)), path)):
-        with pytest.raises(DecompositionMismatch):
+    for td, want in (
+            # variable 0's bags are not connected
+            (TreeDecomposition(((0,), (1,), (0,)), path), "subtree"),
+            # variable 5 is out of range
+            (TreeDecomposition(((0,), (1,), (5,)), path), "vertex 5")):
+        with pytest.raises(InvalidDecomposition, match=want):
             solve_min_csp(q, td)
 
 
@@ -83,17 +86,19 @@ def test_dp_isolated_variable_gets_domain_minimum():
     assert sol.assignment == (1, 5, 2)
 
 
-def test_soft_owner_partition():
+def test_scope_owner_partition():
     rng = random.Random(101)
     for _ in range(40):
         q = random_csp(rng, max_vars=8, max_dom=3)
         td = decomposition_for(q)
         # top nodes, and so owners, depend on the root
         td = rooted_at(td, rng.randrange(td.n_nodes))
-        owners = soft_owners(q, td)
-        assert len(owners) == len(q.soft)
+        cons = q.hard + q.soft
+        _, owners = scope_owners(td, [c.scope for c in cons],
+                                 range(q.num_vars))
+        assert len(owners) == len(cons)
         bag_sets = td.bag_sets()
-        for c, a in zip(q.soft, owners):
+        for c, a in zip(cons, owners):
             assert set(c.scope) <= bag_sets[a]
             # topmost: no strict ancestor's bag covers the scope too
             p = td.parent[a]
@@ -101,10 +106,11 @@ def test_soft_owner_partition():
                 assert not set(c.scope) <= bag_sets[p]
                 p = td.parent[p]
         # owner-charged violations sum to the global count for any assignment
+        soft_owners = owners[len(q.hard):]
         for _ in range(5):
             z = tuple(rng.choice(d) for d in q.domains)
             per_owner = [0] * td.n_nodes
-            for c, a in zip(q.soft, owners):
+            for c, a in zip(q.soft, soft_owners):
                 if not c.satisfied_by(z):
                     per_owner[a] += 1
             assert sum(per_owner) == violated_soft_count(q, z)

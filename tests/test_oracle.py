@@ -3,9 +3,12 @@ import random
 import pytest
 
 from lbcut import (BudgetExceeded, Constraint, CspInstance, Graph, Instance,
-                   UNKNOWN, Variant, brute_force_csp, brute_force_cut,
-                   encode_edge_cut, enumerate_short_paths, violated_soft_count)
+                   NoVertexCut, UNKNOWN, Variant, brute_force_csp,
+                   brute_force_cut, encode_edge_cut, enumerate_short_paths,
+                   violated_soft_count)
 from lbcut.csp import satisfies_all_hard
+
+from conftest import grid_graph
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -30,6 +33,16 @@ def test_brute_force_cut_trivial_when_far():
 def test_brute_force_cut_unknown_on_budget():
     inst = Instance(PATH4, 0, 3, 3, Variant.EDGE)
     assert brute_force_cut(inst, max_size=0) is UNKNOWN
+
+
+def test_brute_force_cut_adjacent_terminals_raise():
+    # No vertex set separates adjacent terminals: the oracle says so before
+    # enumerating any subset, as the other solvers do.
+    g = grid_graph(5, 5)
+    with pytest.raises(NoVertexCut):
+        brute_force_cut(Instance(g, 0, 1, 4, Variant.VERTEX), max_size=4)
+    assert brute_force_cut(Instance(g, 0, 1, 1, Variant.EDGE)).members == (
+        (0, 1),)
 
 
 def test_brute_force_cut_deterministic():

@@ -3,10 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from lbcut import (Graph, ParseError, TreeDecomposition, build_heuristic,
-                   generate, parse_instance, prune_decomposition, read_td,
-                   rooted_at, split_at, subtree_vertex_sets, validate, width,
-                   write_td)
+from lbcut import (Graph, InvalidDecomposition, ParseError, TreeDecomposition,
+                   build_heuristic, generate, parse_instance,
+                   prune_decomposition, read_td, rooted_at, split_at,
+                   subtree_vertex_sets, validate, width, write_td)
 
 from conftest import (exact_treewidth, fan_instance, grid_graph, random_graph,
                       random_tree)
@@ -14,40 +14,60 @@ from conftest import (exact_treewidth, fan_instance, grid_graph, random_graph,
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
+# validate raises InvalidDecomposition on any violation, so a bare call
+# asserts that the decomposition is valid.
 def test_validate_single_bag():
     td = TreeDecomposition(((0, 1, 2),), frozenset())
-    assert validate(td, PATH3).ok
+    validate(td, PATH3)
 
 
 def test_validate_path_bags():
     td = TreeDecomposition(((0, 1), (1, 2)), frozenset({(0, 1)}))
-    assert validate(td, PATH3).ok
+    validate(td, PATH3)
     assert width(td) == 1
 
 
-def test_validate_forest_is_rejected():
-    td = TreeDecomposition(((0, 1), (1, 2)), frozenset())
-    res = validate(td, PATH3)
-    assert not res.ok and "tree" in res.violation
+def test_constructor_rejects_non_trees():
+    # a forest, k edges over k nodes, k-1 edges that leave a node unreached,
+    # and no nodes at all
+    for bags, edges, want in (
+            (((0, 1), (1, 2)), set(), "tree"),
+            (((0,), (1,), (2,)), {(0, 1), (1, 2), (0, 2)}, "tree"),
+            (((0,), (1,), (2,), (3,)), {(0, 1), (1, 2), (0, 2)}, "connect"),
+            ((), set(), "no nodes")):
+        with pytest.raises(InvalidDecomposition, match=want):
+            TreeDecomposition(bags, frozenset(edges))
+    # and a file that describes one
+    for text in ("s td 2 1 3\nb 1 1\nb 2 2\n", "s td 0 0 3\n"):
+        with pytest.raises(InvalidDecomposition):
+            read_td(text)
 
 
 def test_validate_missing_vertex_and_edge():
     td = TreeDecomposition(((0, 1),), frozenset())
-    res = validate(td, PATH3)
-    assert not res.ok and "vertex 2" in res.violation
+    with pytest.raises(InvalidDecomposition, match="vertex 2"):
+        validate(td, PATH3)
     td2 = TreeDecomposition(((0, 1), (2,)), frozenset({(0, 1)}))
-    res2 = validate(td2, PATH3)
-    assert not res2.ok and "edge (1,2)" in res2.violation
+    with pytest.raises(InvalidDecomposition, match=r"edge \(1,2\)"):
+        validate(td2, PATH3)
     td3 = TreeDecomposition(((0, 1), (1, 2), (2, 3)), frozenset({(0, 1), (1, 2)}))
-    res3 = validate(td3, PATH3)
-    assert not res3.ok and "vertex 3" in res3.violation
+    with pytest.raises(InvalidDecomposition, match="vertex 3"):
+        validate(td3, PATH3)
 
 
 def test_validate_disconnected_occurrences():
     g = Graph.from_edges(3, [(0, 1)])
     td = TreeDecomposition(((0, 1), (2,), (0,)), frozenset({(0, 1), (1, 2)}))
-    res = validate(td, g)
-    assert not res.ok and "subtree" in res.violation
+    with pytest.raises(InvalidDecomposition, match="subtree"):
+        validate(td, g)
+
+
+def _valid(td: TreeDecomposition, g: Graph) -> bool:
+    try:
+        validate(td, g)
+    except InvalidDecomposition:
+        return False
+    return True
 
 
 def _axioms_hold(td: TreeDecomposition, g: Graph) -> bool:
@@ -97,7 +117,7 @@ def test_validate_matches_axioms_on_random_decompositions():
             broken = TreeDecomposition(tuple(map(tuple, bags)), td.tree_edges,
                                        root=td.root)
             want = _axioms_hold(broken, g)
-            assert validate(broken, g).ok == want, (g, broken)
+            assert _valid(broken, g) == want, (g, broken)
             verdicts[want] += 1
     assert min(verdicts.values()) > 100, verdicts
 
@@ -116,14 +136,14 @@ def test_build_heuristic_on_trees_gives_width_one():
         g = random_tree(rng, rng.randint(2, 50))
         own = build_heuristic(g)
         for td in (own, rooted_at(own, rng.randrange(own.n_nodes))):
-            assert validate(td, g).ok
+            validate(td, g)
             assert width(td) == 1
 
 
 def test_build_heuristic_complete_graph():
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     td = build_heuristic(k4)
-    assert validate(td, k4).ok
+    validate(td, k4)
     assert width(td) == 3
 
 
@@ -131,7 +151,7 @@ def test_build_heuristic_grid():
     g = grid_graph(3, 3)
     assert exact_treewidth(g) == 3
     td = build_heuristic(g)
-    assert validate(td, g).ok
+    validate(td, g)
     assert width(td) <= 4
 
 
@@ -198,7 +218,7 @@ def test_build_heuristic_meets_partial_ktree_width(k):
         for seed in range(5):
             g = parse_instance(generate("partial-ktree", [n, k, 0.8], seed=seed))
             td = build_heuristic(g)
-            assert validate(td, g).ok
+            validate(td, g)
             assert width(td) <= k, (n, k, seed, width(td))
 
 
@@ -221,8 +241,8 @@ def test_split_at_middle_overlap_is_bag():
     assert sp.below.n_nodes == 2 and sp.above.n_nodes == 2
     overlap = sp.below_graph.vertices & sp.above_graph.vertices
     assert overlap <= set(td.bags[1])
-    assert validate(sp.below, sp.below_graph).ok
-    assert validate(sp.above, sp.above_graph).ok
+    validate(sp.below, sp.below_graph)
+    validate(sp.above, sp.above_graph)
 
 
 def test_prune_decomposition_examples():
@@ -233,7 +253,7 @@ def test_prune_decomposition_examples():
 
     g1, td1 = prune_decomposition(td, g, {1})
     assert td1.bags == ((0, 3), (0, 2, 3))
-    assert validate(td1, g1).ok
+    validate(td1, g1)
 
     g2, td2 = prune_decomposition(td, g, g.vertices)
     assert td2.bags == ((), ())
@@ -264,12 +284,12 @@ def test_random_graph_surgery_keeps_validity():
         td = build_heuristic(g)
         if trial % 2:
             td = rooted_at(td, rng.randrange(td.n_nodes))
-        assert validate(td, g).ok
+        validate(td, g)
 
         b = rng.randrange(td.n_nodes)
         sp = split_at(td, g, b)
-        assert validate(sp.below, sp.below_graph).ok
-        assert validate(sp.above, sp.above_graph).ok
+        validate(sp.below, sp.below_graph)
+        validate(sp.above, sp.above_graph)
         assert sp.below_graph.vertices & sp.above_graph.vertices <= set(td.bags[b])
 
         # Helly property, checked directly: edges of each half's induced
@@ -281,7 +301,7 @@ def test_random_graph_surgery_keeps_validity():
 
         drop = rng.sample(sorted(g.vertices), rng.randint(0, len(g.vertices)))
         g2, td2 = prune_decomposition(td, g, drop)
-        assert validate(td2, g2).ok
+        validate(td2, g2)
 
 
 def test_pace_round_trip_exact():
