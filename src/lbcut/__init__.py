@@ -13,7 +13,7 @@ from .csp import (Assignment, Constraint, CspInstance, CspSolution,
                   decode_vertex, encode_edge_cut, encode_vertex_cut,
                   violated_soft_count)
 from .dp import solve_exact_cut, solve_min_csp
-from .errors import (BudgetExceeded, GraphError, InvalidAssignment, InvalidCut,
+from .errors import (GraphError, InvalidAssignment, InvalidCut,
                      InvalidDecomposition, LbcutError, NoVertexCut, ParseError,
                      ResourceExceeded, UsageError)
 from .fpt import PruneResult, prune_to_relevant, solve_fpt

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidDecomposition, LbcutError, NoVertexCut
+from .errors import InvalidDecomposition, LbcutError
 from .fpt import prune_to_relevant
 from .graph import (CutSet, Instance, Variant, hop_distance, min_vertex_cut,
                     verify_cut)
@@ -89,10 +89,8 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     ``treedec.validate`` raises InvalidDecomposition if it is not one."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
-    if inst.graph.has_edge(inst.s, inst.t):
-        raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     validate(td, inst.graph)
-    bag_sets = td.bag_sets()
+    bag_sets = td.bag_sets
 
     g, s, t, L = inst.graph, inst.s, inst.t, inst.L
     both = sorted((a for a in range(td.n_nodes) if {s, t} <= bag_sets[a]),

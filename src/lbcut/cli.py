@@ -65,6 +65,13 @@ def _internal_vertex(external: int, g: Graph) -> int:
     return external - 1
 
 
+def _instance(g: Graph, args) -> Instance:
+    """The instance the flags of ``_add_instance_flags`` name on g."""
+    return Instance(g, _internal_vertex(args.source, g),
+                    _internal_vertex(args.sink, g), args.length,
+                    Variant(args.variant))
+
+
 def _load_td(path: str, g: Graph):
     td, n = read_td(Path(path).read_text())
     if n != g.n:
@@ -101,9 +108,7 @@ def _run_algorithm(algo: str, inst: Instance, td, args):
 
 def cmd_solve(args) -> int:
     g = load_instance(args.graph)
-    variant = Variant(args.variant)
-    inst = Instance(g, _internal_vertex(args.source, g),
-                    _internal_vertex(args.sink, g), args.length, variant)
+    inst = _instance(g, args)
     td = _load_td(args.td, g) if args.td else None
 
     start = time.perf_counter()
@@ -117,7 +122,7 @@ def cmd_solve(args) -> int:
     feasible = verify_cut(inst, cut).feasible  # independent re-check
     report = {
         "algorithm": cut.algorithm or args.algo,
-        "variant": variant.value,
+        "variant": inst.variant.value,
         "L": inst.L,
         "cut": _external_members(cut),
         "size": cut.size,
@@ -150,10 +155,8 @@ def _parse_cut(text: str, variant: Variant, g: Graph) -> CutSet:
 
 def cmd_verify(args) -> int:
     g = load_instance(args.graph)
-    variant = Variant(args.variant)
-    inst = Instance(g, _internal_vertex(args.source, g),
-                    _internal_vertex(args.sink, g), args.length, variant)
-    cut = _parse_cut(args.cut, variant, g)
+    inst = _instance(g, args)
+    cut = _parse_cut(args.cut, inst.variant, g)
     result = verify_cut(inst, cut)
     if args.json:
         witness = ([v + 1 for v in result.witness]
@@ -222,20 +225,14 @@ def cmd_bench(args) -> int:
         writer.writeheader()
         for path in paths:
             try:
-                g = load_instance(path)
-                inst = Instance(g, _internal_vertex(args.source, g),
-                                _internal_vertex(args.sink, g),
-                                args.length, Variant(args.variant))
+                inst = _instance(load_instance(path), args)
             except LbcutError as exc:
                 for algo in algos:
                     row = {c: "" for c in CSV_COLUMNS}
                     row.update(instance=path.name, algo=algo, error=str(exc))
                     writer.writerow(row)
                 continue
-            try:
-                oracle = brute_force_cut(inst, max_size=args.oracle_max_size)
-            except NoVertexCut:  # no ratio; each row records the error
-                oracle = UNKNOWN
+            oracle = brute_force_cut(inst, max_size=args.oracle_max_size)
             oracle_size = None if oracle is UNKNOWN else oracle.size
             for algo in algos:
                 writer.writerow(
@@ -247,7 +244,6 @@ def cmd_bench(args) -> int:
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True, help="instance file path")
     p.add_argument("--source", required=True, type=int, help="source (1-indexed)")
     p.add_argument("--sink", required=True, type=int, help="sink (1-indexed)")
     p.add_argument("--length", required=True, type=int, help="hop bound L")
@@ -261,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
+    p_solve.add_argument("--graph", required=True, help="instance file path")
     _add_instance_flags(p_solve)
     p_solve.add_argument("--algo", default="exact", choices=ALGORITHMS)
     p_solve.add_argument("--td", help="PACE .td decomposition to use")
@@ -272,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a proposed cut")
+    p_verify.add_argument("--graph", required=True, help="instance file path")
     _add_instance_flags(p_verify)
     p_verify.add_argument("--cut", required=True,
                           help="comma-separated members: vertices '2,3' or edges '1-2,3-4'")
@@ -289,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run algorithms over a corpus directory")
     p_bench.add_argument("--corpus", required=True)
-    p_bench.add_argument("--source", required=True, type=int)
-    p_bench.add_argument("--sink", required=True, type=int)
-    p_bench.add_argument("--length", required=True, type=int)
-    p_bench.add_argument("--variant", required=True, choices=["edge", "vertex"])
+    _add_instance_flags(p_bench)
     p_bench.add_argument("--algos", default="exact",
                          help="comma-separated subset of " + ",".join(ALGORITHMS))
     p_bench.add_argument("--output", "-o", help="CSV path (default stdout)")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidAssignment, InvalidCut, NoVertexCut
+from .errors import InvalidAssignment, InvalidCut
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     capped_bfs, cut_blocks)
 
@@ -177,8 +177,6 @@ def encode_vertex_cut(inst: Instance, *,
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
-    if inst.graph.has_edge(inst.s, inst.t):
-        raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     L = inst.L
     domains = tuple(
         (() if v in (inst.s, inst.t) else (-1,)) + tuple(range(lo, hi + 1))

@@ -14,7 +14,8 @@ class InvalidCut(LbcutError):
 
 
 class NoVertexCut(LbcutError):
-    """No vertex s-t cut exists because s and t are adjacent."""
+    """No vertex s-t cut exists because s and t are adjacent; raised by
+    ``Instance`` and by ``min_vertex_cut``, which takes a bare graph."""
 
 
 class InvalidAssignment(LbcutError):
@@ -26,11 +27,8 @@ class InvalidDecomposition(LbcutError):
 
 
 class ResourceExceeded(LbcutError):
-    """A dynamic-programming table would exceed the configured budget."""
-
-
-class BudgetExceeded(LbcutError):
-    """Brute-force enumeration would exceed its budget."""
+    """Work would exceed its budget: a dynamic-programming table's entries,
+    or the assignments ``oracle.brute_force_csp`` would enumerate."""
 
 
 class ParseError(LbcutError):

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Optional
 
 from .dp import TABLE_BUDGET, solve_exact_cut
-from .errors import LbcutError, NoVertexCut
+from .errors import LbcutError
 # hop_distance: unused, kept for the benchmark's tracer
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
@@ -79,9 +79,6 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     otherwise one is built heuristically on the subgraph.  The cut's
     ``width_used`` is None when no short path exists and nothing is solved.
     """
-    g = inst.graph
-    if inst.variant is Variant.VERTEX and g.has_edge(inst.s, inst.t):
-        raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     pr = prune_to_relevant(inst)
     if not pr.kept:
         return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")

@@ -115,7 +115,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class Instance:
-    """An L-bounded cut problem: graph, terminals, hop bound, and variant."""
+    """An L-bounded cut problem: graph, terminals, hop bound, and variant.
+
+    A vertex instance with adjacent terminals raises NoVertexCut (a vertex
+    cut holds neither s nor t, so the edge s-t survives it); the solvers and
+    oracles that take an Instance rely on this and do not check again.
+    """
 
     graph: Graph
     s: int
@@ -131,6 +136,9 @@ class Instance:
                 raise GraphError(f"terminal {x} is not a vertex of the graph")
         if self.L < 1:
             raise GraphError("L must be a positive integer")
+        if (self.variant is Variant.VERTEX
+                and self.graph.has_edge(self.s, self.t)):
+            raise NoVertexCut("s and t are adjacent")
 
 
 @dataclass(frozen=True)
@@ -305,14 +313,15 @@ def min_vertex_cut(g: Graph, s: int, t: int) -> CutSet:
     by a unit arc; s and t stay whole as node 2s and node 2t.  Each edge
     u-v gives arcs out(u) -> 2v and out(v) -> 2u of effectively infinite
     capacity.  The cut is every v whose in-node lies on the source side and
-    whose out-node does not.
+    whose out-node does not.  Taking a bare graph, it checks itself that s
+    and t are not adjacent.
     """
     if s == t:
         raise GraphError("s and t must differ")
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise GraphError("terminals must be vertices of the graph")
     if g.has_edge(s, t):
-        raise NoVertexCut(f"vertices {s} and {t} are adjacent")
+        raise NoVertexCut("s and t are adjacent")
 
     out = {v: 2 * v if v in (s, t) else 2 * v + 1 for v in g.vertices}
     res: dict[int, dict[int, int]] = {}

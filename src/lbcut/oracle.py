@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .csp import CspInstance, CspSolution
-from .errors import BudgetExceeded, NoVertexCut
+from .errors import ResourceExceeded
 from .graph import CutSet, Graph, Instance, Variant, bfs_distances, verify_cut
 
 DEFAULT_MAX_SIZE = 6
@@ -38,13 +38,11 @@ def brute_force_cut(inst: Instance,
     """First feasible cut in (cardinality, lexicographic) enumeration order.
 
     Returns UNKNOWN when no candidate set of size <= max_size is feasible;
-    that is an explicit "don't know", not infeasibility.  Raises
-    NoVertexCut for a vertex cut between adjacent terminals, which no
-    subset can be.
+    that is an explicit "don't know", not infeasibility.  A vertex
+    instance with adjacent terminals, which no subset could cut, cannot be
+    built: ``Instance`` raises NoVertexCut.
     """
     g = inst.graph
-    if inst.variant is Variant.VERTEX and g.has_edge(inst.s, inst.t):
-        raise NoVertexCut(f"vertices {inst.s} and {inst.t} are adjacent")
     if inst.variant is Variant.EDGE:
         candidates: list = sorted(g.edges)
     else:
@@ -63,7 +61,7 @@ def brute_force_csp(q: CspInstance,
     """Exhaustive minimum over all assignments; None if hard-infeasible.
 
     Ties go to the lexicographically first assignment under the per-variable
-    domain orders.  Raises BudgetExceeded when the assignment space is
+    domain orders.  Raises ResourceExceeded when the assignment space is
     larger than ``budget``.
 
     All assignments form one array with an axis per variable, indexed by
@@ -73,7 +71,7 @@ def brute_force_csp(q: CspInstance,
     shape = tuple(len(d) for d in q.domains)
     total = math.prod(shape)
     if total > budget:
-        raise BudgetExceeded(
+        raise ResourceExceeded(
             f"{total} assignments exceed the budget of {budget}")
     if total == 0:
         return None

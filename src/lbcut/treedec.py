@@ -30,6 +30,7 @@ class TreeDecomposition:
     ``scope_owners`` and ``validate``.  parent/children/depth are derived
     from the root (only the root's parent is None); ``order`` lists the
     nodes root first, breadth first, so every parent precedes its children.
+    ``bag_sets`` holds each bag as a frozenset, for membership tests.
     """
 
     bags: tuple[tuple[int, ...], ...]
@@ -39,6 +40,8 @@ class TreeDecomposition:
     children: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bag_sets: tuple[frozenset[int], ...] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         bags = tuple(tuple(sorted(set(b))) for b in self.bags)
@@ -80,13 +83,11 @@ class TreeDecomposition:
         object.__setattr__(self, "children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "depth", tuple(depth))
         object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "bag_sets", tuple(map(frozenset, bags)))
 
     @property
     def n_nodes(self) -> int:
         return len(self.bags)
-
-    def bag_sets(self) -> list[frozenset[int]]:
-        return [frozenset(b) for b in self.bags]
 
 
 def width(td: TreeDecomposition) -> int:
@@ -110,7 +111,7 @@ def top_nodes(td: TreeDecomposition) -> dict[int, int]:
     the bags holding it do not form a subtree.  The tree itself was checked
     when ``td`` was built.
     """
-    bag_sets = td.bag_sets()
+    bag_sets = td.bag_sets
     top: dict[int, int] = {}
     for a in td.order:
         p = td.parent[a]
@@ -146,7 +147,7 @@ def scope_owners(td: TreeDecomposition, scopes: Iterable[Sequence[int]],
     # whichever the (depth, node) key picks then fails the bag check.
     depth = td.depth
     key = {v: (depth[a], a) for v, a in top.items()}
-    bag_sets = td.bag_sets()
+    bag_sets = td.bag_sets
     owners = []
     for scope in scopes:
         try:

@@ -3,11 +3,11 @@ import time
 
 import pytest
 
-from lbcut import (Graph, Instance, InvalidDecomposition, NoVertexCut,
-                   TreeDecomposition, UNKNOWN, Variant, approx_auto,
-                   approx_vertex_cut, brute_force_cut, build_heuristic,
-                   enumerate_short_paths, generate, parse_instance, rooted_at,
-                   validate, verify_cut, width)
+from lbcut import (Graph, Instance, InvalidDecomposition, TreeDecomposition,
+                   UNKNOWN, Variant, approx_auto, approx_vertex_cut,
+                   brute_force_cut, build_heuristic, enumerate_short_paths,
+                   generate, parse_instance, rooted_at, validate, verify_cut,
+                   width)
 
 from conftest import atlas_graphs, fan_instance, grid_graph
 
@@ -101,12 +101,6 @@ def test_grid_ratio():
     res = approx_auto(inst)
     assert res.cut.size <= res.width_used * opt
     assert res.lower_bound <= opt
-
-
-def test_adjacent_terminals_raise():
-    g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(NoVertexCut):
-        approx_auto(Instance(g, 0, 1, 1, Variant.VERTEX))
 
 
 def test_edge_variant_rejected():

@@ -161,6 +161,17 @@ def test_solve_vertex_adjacent_exit_code(tmp_path, capsys):
         assert "no vertex cut exists" in err, algo
 
 
+def test_verify_vertex_adjacent_exit_code(tmp_path, capsys):
+    p = tmp_path / "k2.lbcut"
+    p.write_text("p lbcut 2 1\ne 1 2\n")
+    code, out, err = run(capsys, [
+        "verify", "--graph", str(p), "--source", "1", "--sink", "2",
+        "--length", "1", "--variant", "vertex", "--cut", ""])
+    assert code == 2
+    assert out == ""
+    assert "no vertex cut exists: s and t are adjacent" in err
+
+
 def test_solve_with_supplied_decomposition(path_graph, tmp_path, capsys):
     g = parse_instance(path_graph.read_text())
     td_file = tmp_path / "path.td"
@@ -274,9 +285,9 @@ def test_bench_per_row_error_for_bad_instance(tmp_path, capsys):
 
 
 def test_bench_rows_when_no_vertex_cut_exists(tmp_path, capsys):
-    # Terminals 1 and 2 are adjacent in the triangle only: its oracle call
-    # raises and gives no ratio, every algorithm row records the error, and
-    # the next instance is benched as usual.
+    # Terminals 1 and 2 are adjacent in the triangle only: its instance
+    # cannot be built, so no oracle or algorithm runs, every algorithm row
+    # records the error, and the next instance is benched as usual.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "a_triangle.lbcut").write_text("p lbcut 3 3\ne 1 2\ne 2 3\ne 1 3\n")
@@ -292,6 +303,7 @@ def test_bench_rows_when_no_vertex_cut_exists(tmp_path, capsys):
         [("b_path.lbcut", a) for a in algos]
     for r in rows[:4]:
         assert "adjacent" in r["error"] and r["ratio_vs_oracle"] == "", r
+        assert r["elapsed_ms"] == "", r
     for r in rows[4:]:
         assert r["error"] == "" and r["size"] == "1", r
         assert r["ratio_vs_oracle"] == "1.0000", r

@@ -53,12 +53,6 @@ def test_encode_vertex_costs():
     assert brute_force_csp(qc).cost == 2
 
 
-def test_encode_vertex_adjacent_terminals():
-    g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(NoVertexCut):
-        encode_vertex_cut(Instance(g, 0, 1, 1, Variant.VERTEX))
-
-
 def test_constraint_graph_equals_input_graph():
     for inst in (Instance(PATH4, 0, 3, 3, Variant.EDGE),
                  Instance(C5, 0, 2, 2, Variant.EDGE)):
@@ -161,10 +155,15 @@ def test_cut_to_assignment_matches_labels_of_the_cut_graph():
         s, t = rng.sample(range(n), 2)
         g = g.induced({s, t} | {v for v in range(n) if rng.random() < 0.8})
         variant = rng.choice([Variant.EDGE, Variant.VERTEX])
-        inst = Instance(g, s, t, rng.randint(1, 5), variant)
+        L = rng.randint(1, 5)
         pool = (sorted(g.edges) if variant is Variant.EDGE
                 else sorted(g.vertices - {s, t}))
         cut = CutSet(variant, rng.sample(pool, rng.randint(0, len(pool))))
+        if variant is Variant.VERTEX and g.has_edge(s, t):
+            with pytest.raises(NoVertexCut):
+                Instance(g, s, t, L, variant)
+            continue
+        inst = Instance(g, s, t, L, variant)
         try:
             expected = _reference_labels(inst, cut)
         except InvalidCut:

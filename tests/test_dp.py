@@ -97,7 +97,7 @@ def test_scope_owner_partition():
         _, owners = scope_owners(td, [c.scope for c in cons],
                                  range(q.num_vars))
         assert len(owners) == len(cons)
-        bag_sets = td.bag_sets()
+        bag_sets = td.bag_sets
         for c, a in zip(cons, owners):
             assert set(c.scope) <= bag_sets[a]
             # topmost: no strict ancestor's bag covers the scope too

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import lbcut.graph
-from lbcut import (Graph, Instance, NoVertexCut, UNKNOWN, Variant,
+from lbcut import (Graph, Instance, UNKNOWN, Variant,
                    bfs_distances, brute_force_cut, build_heuristic, generate,
                    hop_distance, parse_instance, prune_to_relevant,
                    solve_exact_cut, solve_fpt)
@@ -52,12 +52,6 @@ def test_fpt_star_vertex_cut():
     cut = solve_fpt(inst)
     assert cut.members == (0,)
     assert brute_force_cut(inst).size == 1
-
-
-def test_fpt_rejects_adjacent_terminals_for_vertex_variant():
-    g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(NoVertexCut):
-        solve_fpt(Instance(g, 0, 1, 1, Variant.VERTEX))
 
 
 def _random_grid_subgraph(rng: random.Random, max_n=20):

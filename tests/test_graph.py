@@ -113,6 +113,10 @@ def test_verify_witness_avoids_cut_and_is_short():
         else:
             pool = [v for v in range(n) if v not in (s, t)]
         members = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 2))))
+        if variant is Variant.VERTEX and g.has_edge(s, t):
+            with pytest.raises(NoVertexCut):
+                Instance(g, s, t, L, variant)
+            continue
         inst = Instance(g, s, t, L, variant)
         res = verify_cut(inst, CutSet(variant, members))
         if not res.feasible:
@@ -135,12 +139,16 @@ def test_feasibility_equals_hitting_all_short_paths():
         L = rng.randint(1, 5)
         paths = enumerate_short_paths(g, s, t, L)
         for variant in (Variant.EDGE, Variant.VERTEX):
-            inst = Instance(g, s, t, L, variant)
             if variant is Variant.EDGE:
                 pool = sorted(g.edges)
             else:
                 pool = [v for v in range(n) if v not in (s, t)]
             members = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 3))))
+            if variant is Variant.VERTEX and g.has_edge(s, t):
+                with pytest.raises(NoVertexCut):
+                    Instance(g, s, t, L, variant)
+                continue
+            inst = Instance(g, s, t, L, variant)
             feasible = verify_cut(inst, CutSet(variant, members)).feasible
             if variant is Variant.EDGE:
                 pairs = [set(zip(p, p[1:])) | set(zip(p[1:], p)) for p in paths]
@@ -307,6 +315,9 @@ def test_instance_validation():
         Instance(PATH4, 0, 3, 0, Variant.EDGE)
     with pytest.raises(GraphError):
         Instance(PATH4, 0, 9, 3, Variant.EDGE)
+    with pytest.raises(NoVertexCut, match="s and t are adjacent"):
+        Instance(PATH4, 1, 2, 3, Variant.VERTEX)
+    assert Instance(PATH4, 1, 2, 3, Variant.EDGE).variant is Variant.EDGE
 
 
 def test_cutset_normalizes_and_rejects_duplicates():

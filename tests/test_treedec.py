@@ -73,7 +73,7 @@ def _valid(td: TreeDecomposition, g: Graph) -> bool:
 def _axioms_hold(td: TreeDecomposition, g: Graph) -> bool:
     """The decomposition axioms, checked straight from their definitions on
     a decomposition whose tree edges form a tree."""
-    bag_sets = td.bag_sets()
+    bag_sets = td.bag_sets
     if not set().union(*bag_sets) <= g.vertices:
         return False
     if not all(any({u, v} <= bs for bs in bag_sets) for u, v in g.edges):
@@ -295,7 +295,7 @@ def test_random_graph_surgery_keeps_validity():
         # Helly property, checked directly: edges of each half's induced
         # subgraph are covered inside the half's own bags.
         for half, hg in ((sp.below, sp.below_graph), (sp.above, sp.above_graph)):
-            bag_sets = half.bag_sets()
+            bag_sets = half.bag_sets
             for u, v in hg.edges:
                 assert any({u, v} <= bs for bs in bag_sets)
 
