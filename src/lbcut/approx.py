@@ -29,7 +29,21 @@ holding both terminals never change, and a node whose live subtree set has
 no short path never gets one again.  Scanning them deepest first, every
 node before b has none, so one pass over them in that order does all the
 steps, and each node tests negative once.  A test is a depth-capped BFS
-restricted to the live subtree set; no subgraph is built.
+(``graph.hop_distance``) confined to the live subtree set; no subgraph is
+built, and the search scans only members of that set, so a test costs the
+set's size and its edges even where s has many deleted neighbours.
+
+Interval index (``LiveSubtrees``).  The live subtree sets are never stored.
+A vertex v lies in the subtree set of node b exactly when v is in B(b) or
+top[v], the highest node whose bag holds v (``treedec.top_nodes``), lies in
+b's subtree: the nodes holding v form a subtree below top[v], so if top[v]
+is outside b's subtree and some node below b holds v, the tree path from
+top[v] down to that node passes through b.  Listing the bag vertices by
+the depth-first preorder position of their top node makes the vertices of
+the second kind one contiguous slice per node, and a skip pointer per entry
+("next live", a union-find with path compression) steps over deleted ones.
+A live subtree set is then b's live bag plus the live part of b's slice,
+and building it costs about its own size.
 
 No split case.  If b's live bag were {s, t}, a short path in its subtree
 would have internal vertices (s and t are not adjacent) outside B(b).  By
@@ -42,6 +56,7 @@ loop raises InvalidDecomposition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +64,8 @@ from .errors import InvalidDecomposition, LbcutError
 from .fpt import prune_to_relevant
 from .graph import (CutSet, Instance, Variant, hop_distance, min_vertex_cut,
                     verify_cut)
-# split_at, prune_decomposition: unused, kept for the benchmark's tracer
+# split_at, prune_decomposition, subtree_vertex_sets: unused, kept for the
+# benchmark's tracer
 from .treedec import (TreeDecomposition, build_heuristic, prune_decomposition,
                       split_at, subtree_vertex_sets, validate, width)
 
@@ -67,6 +83,62 @@ class TraceEvent:
     bag: tuple[int, ...] = ()
     removed: tuple[int, ...] = ()
     subtree_vertices: tuple[int, ...] = ()
+
+
+class LiveSubtrees:
+    """Every node's live subtree set, under deletion of vertices (the
+    interval index of the module docstring).
+
+    ``top`` is the decomposition's top-node map; its keys start out alive.
+    Node a's subtree holds the preorder positions ``pre[a]`` to
+    ``pre[a] + size[a] - 1``; ``entries`` lists the bag vertices ascending
+    by ``keys``, the positions of their top nodes, and ``skip[i]`` leads to
+    the first live entry at or after i (``len(entries)`` if there is none).
+    """
+
+    def __init__(self, td: TreeDecomposition, top: dict[int, int]):
+        self.alive = set(top)
+        self._bag_sets = td.bag_sets
+        self._pre = pre = [0] * td.n_nodes
+        stack, n_seen = [td.root], 0
+        while stack:
+            a = stack.pop()
+            pre[a], n_seen = n_seen, n_seen + 1
+            stack.extend(td.children[a])
+        self._size = size = [1] * td.n_nodes
+        for a in reversed(td.order):
+            if td.parent[a] is not None:
+                size[td.parent[a]] += size[a]
+        self._entries = sorted(top, key=lambda v: pre[top[v]])
+        self._keys = [pre[top[v]] for v in self._entries]
+        self._pos = {v: i for i, v in enumerate(self._entries)}
+        self._skip = list(range(len(self._entries) + 1))
+
+    def _next_live(self, i: int) -> int:
+        skip = self._skip
+        j = i
+        while skip[j] != j:
+            j = skip[j]
+        while skip[i] != j:
+            skip[i], i = j, skip[i]
+        return j
+
+    def delete(self, vertices) -> None:
+        for v in vertices:
+            self.alive.remove(v)
+            i = self._pos[v]
+            self._skip[i] = i + 1
+
+    def __getitem__(self, a: int) -> set[int]:
+        """The live subtree set of node a: a fresh set."""
+        live = self.alive.intersection(self._bag_sets[a])
+        entries, first = self._entries, self._pre[a]
+        hi = bisect_left(self._keys, first + self._size[a])
+        i = self._next_live(bisect_left(self._keys, first))
+        while i < hi:
+            live.add(entries[i])
+            i = self._next_live(i + 1)
+        return live
 
 
 @dataclass(frozen=True)
@@ -89,14 +161,12 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     ``treedec.validate`` raises InvalidDecomposition if it is not one."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
-    validate(td, inst.graph)
-    bag_sets = td.bag_sets
+    live = LiveSubtrees(td, validate(td, inst.graph))
+    bag_sets, alive = td.bag_sets, live.alive
 
     g, s, t, L = inst.graph, inst.s, inst.t, inst.L
     both = sorted((a for a in range(td.n_nodes) if {s, t} <= bag_sets[a]),
                   key=lambda a: (-td.depth[a], a))
-    subtree_sets = subtree_vertex_sets(td)
-    alive = set(g.vertices)
     members: set[int] = set()
     trace: list[TraceEvent] = []
 
@@ -110,15 +180,14 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
                 "is inconsistent")
         trace.append(TraceEvent(
             kind, node=a, bag=tuple(sorted(live_bag)), removed=removed,
-            subtree_vertices=tuple(sorted(subtree_sets[a] & alive))))
-        alive.difference_update(removed)
+            subtree_vertices=tuple(sorted(live[a]))))
+        live.delete(removed)
         members.update(removed)
 
     # One pass, deepest first (see "Negative cache").  A node with a short
     # path implies one in the graph, so the graph is tested only after it.
     for b in both:
-        while hop_distance(g, s, t, cap=L,
-                           within=subtree_sets[b] & alive) is not None:
+        while hop_distance(g, s, t, cap=L, within=live[b]) is not None:
             delete_live_bag("prune", b)
     if hop_distance(g, s, t, cap=L, within=alive) is not None:
         if both:

@@ -27,7 +27,7 @@ from .errors import LbcutError
 # hop_distance: unused, kept for the benchmark's tracer
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, norm_edge, verify_cut)
-from .treedec import TreeDecomposition, build_heuristic
+from .treedec import TreeDecomposition, build_heuristic, validate
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,15 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
               table_budget: int = TABLE_BUDGET) -> CutSet:
     """Prune, solve exactly on the subgraph, translate back, and re-verify.
 
-    A supplied decomposition is pruned to the kept vertices and relabeled;
-    otherwise one is built heuristically on the subgraph.  The cut's
-    ``width_used`` is None when no short path exists and nothing is solved.
+    A supplied decomposition must decompose the instance graph
+    (``treedec.validate`` raises InvalidDecomposition otherwise, naming
+    the graph's own vertex ids); it is then pruned to the kept vertices and
+    relabeled.  Otherwise one is built heuristically on the subgraph.  The
+    cut's ``width_used`` is None when no short path exists and nothing is
+    solved.
     """
+    if td is not None:
+        validate(td, inst.graph)
     pr = prune_to_relevant(inst)
     if not pr.kept:
         return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")

@@ -10,9 +10,15 @@ One search, ``capped_bfs``, answers every hop-distance question:
 once, in ``fpt.prune_to_relevant`` (through ``bfs_distances``), and the
 exact solver's encoder reuses those distances; the approximation's
 short-path tests go through ``hop_distance``, and every answer is checked
-by ``verify_cut``.  One flow routine, ``_source_side``,
-finds both minimum cuts: ``min_vertex_cut`` and ``min_edge_cut`` build a
-unit-capacity residual network and read their members off its source side.
+by ``verify_cut``.  The search scans a vertex's neighbours in ascending
+id order, or, when the set it is confined to (``within``) is smaller than
+the vertex's adjacency, that set's members adjacent to it, also ascending:
+both give the same (depth, parent) entries, and a search confined to a few
+vertices costs what it visits even from a vertex of high degree.
+
+One flow routine, ``_source_side``, finds both minimum cuts:
+``min_vertex_cut`` and ``min_edge_cut`` build a unit-capacity residual
+network and read their members off its source side.
 """
 
 from __future__ import annotations
@@ -186,16 +192,26 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
 
     It goes no deeper than ``cap`` hops, enters no vertex outside ``within``,
     crosses no (normalised) edge in ``blocked`` and returns on reaching
-    ``stop``.  Neighbours are scanned in ascending id order.
+    ``stop``.  Neighbours are scanned in ascending id order.  When
+    ``within`` is smaller than u's adjacency, u's scan runs over the members
+    of ``within`` adjacent to u instead, so it costs at most ``len(within)``.
     """
     reached: dict[int, tuple[int, Optional[int]]] = {source: (0, None)}
     frontier = [source]
     depth = 0
+    adj = g._adj
+    limit = g.n if within is None else len(within)  # no degree reaches n
+    ordered: Optional[list[int]] = None  # ``within`` ascending, on first use
     while frontier and (cap is None or depth < cap):
         depth += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            nbrs = adj[u]
+            if len(nbrs) > limit:
+                if ordered is None:
+                    ordered = sorted(within)
+                nbrs = tuple(w for w in ordered if g.has_edge(u, w))
+            for w in nbrs:
                 if (w in reached or (within is not None and w not in within)
                         or (blocked and norm_edge(u, w) in blocked)):
                     continue

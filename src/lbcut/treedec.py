@@ -162,15 +162,17 @@ def scope_owners(td: TreeDecomposition, scopes: Iterable[Sequence[int]],
     return top, owners
 
 
-def validate(td: TreeDecomposition, g: Graph) -> None:
+def validate(td: TreeDecomposition, g: Graph) -> dict[int, int]:
     """Check that td is a tree decomposition of g: every vertex of g is in
     some bag, every bag vertex is a vertex of g, and ``scope_owners`` finds
     an owner for every edge.  Raises InvalidDecomposition otherwise; the
-    tree itself was checked when ``td`` was built."""
+    tree itself was checked when ``td`` was built.  Returns the top-node
+    map (``top_nodes``) the check built, whose keys are then g's vertices."""
     top, _ = scope_owners(td, g.edges, g.vertices)
     missing = g.vertices - top.keys()
     if missing:
         raise InvalidDecomposition(f"vertex {min(missing)} appears in no bag")
+    return top
 
 
 def _fill_in(work: dict[int, set[int]], v: int) -> int:

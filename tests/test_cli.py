@@ -187,6 +187,29 @@ def test_solve_with_supplied_decomposition(path_graph, tmp_path, capsys):
     assert report["lower_bound"] == 1
 
 
+def test_bad_supplied_decomposition_names_one_vertex_under_every_algo(
+        tmp_path, capsys):
+    # The README's 3x3 grid with a decomposition that leaves out vertices 4
+    # and 5.  The exact solver prunes to the short-path region {2, 3, 5, 6}
+    # and relabels it, so unless it checks the file against the whole graph
+    # first, its message names vertex 5 by its index in the pruned graph.
+    graph = tmp_path / "grid33.lbcut"
+    graph.write_text(generate("grid", [3, 3]))
+    td_file = tmp_path / "missing45.td"
+    td_file.write_text("s td 3 3 9\nb 1 1 2 3\nb 2 3 6 9\nb 3 7 8 9\n"
+                       "1 2\n2 3\n")
+    errors = set()
+    for algo in ("exact", "approx", "auto"):
+        code, out, err = run(capsys, [
+            "solve", "--graph", str(graph), "--source", "2", "--sink", "6",
+            "--length", "2", "--variant", "vertex", "--algo", algo,
+            "--td", str(td_file)])
+        assert code == 1 and out == "", algo
+        assert "appears in no bag" in err, algo
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
 def test_solve_brute_and_baseline(path_graph, capsys):
     code, out, _ = run(capsys, [
         "solve", "--graph", str(path_graph), "--source", "1", "--sink", "4",

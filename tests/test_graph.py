@@ -7,6 +7,7 @@ from networkx.algorithms.flow import edmonds_karp
 from lbcut import (CutSet, Graph, GraphError, Instance, InvalidCut,
                    NoVertexCut, Variant, bfs_distances, hop_distance,
                    min_edge_cut, min_vertex_cut, verify_cut)
+from lbcut.graph import capped_bfs, norm_edge
 from lbcut.oracle import enumerate_short_paths
 
 from conftest import (atlas_graphs, brute_min_edge_cut_size,
@@ -70,6 +71,55 @@ def test_hop_distance_within_matches_induced_subgraph():
                     == hop_distance(sub, s, t, cap))
     with pytest.raises(GraphError, match="terminals must lie in `within`"):
         hop_distance(PATH4, 0, 3, within={0, 1, 2})
+
+
+def _full_scan_bfs(g, source, cap, within, blocked, stop):
+    """capped_bfs's contract, scanning every neighbour of every vertex."""
+    reached = {source: (0, None)}
+    frontier = [source]
+    depth = 0
+    while frontier and (cap is None or depth < cap):
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in sorted(g.neighbors(u)):
+                if (w in reached or (within is not None and w not in within)
+                        or norm_edge(u, w) in blocked):
+                    continue
+                reached[w] = (depth, u)
+                if w == stop:
+                    return reached
+                nxt.append(w)
+        frontier = nxt
+    return reached
+
+
+def test_capped_bfs_small_within_matches_full_scan():
+    # A `within` smaller than a vertex's adjacency switches that vertex's
+    # scan to the members of `within`; depths and parents must not change.
+    # Vertex 0 is a hub adjacent to every other vertex, so a search from or
+    # through it switches whenever `within` is small.
+    rng = random.Random(29)
+    switched = 0
+    for _ in range(300):
+        n = rng.randint(3, 30)
+        g = random_graph(rng, n, rng.randint(0, 3 * n))
+        g = Graph.from_edges(n, set(g.edges) | {(0, v) for v in range(1, n)})
+        source = rng.choice([0, rng.randrange(n)])
+        small = rng.randint(0, min(n, 6))
+        within = {source} | set(rng.sample(range(n), small))
+        if rng.random() < 0.3:
+            within = set(range(n)) - set(rng.sample(range(n), n // 3))
+        edges = sorted(g.edges)
+        blocked = frozenset(rng.sample(edges, rng.randint(0, len(edges) // 4)))
+        stop = rng.choice([None, rng.randrange(n)])
+        switched += len(within) < max(map(g.degree, within), default=0)
+        for cap in (None, 1, 2, rng.randint(0, n)):
+            for args in ((within, frozenset(), None), (within, blocked, stop),
+                         (None, blocked, stop)):
+                assert (capped_bfs(g, source, cap, *args)
+                        == _full_scan_bfs(g, source, cap, *args))
+    assert switched > 100
 
 
 def test_verify_cut_examples():
