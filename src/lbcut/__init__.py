@@ -20,11 +20,12 @@ from .fpt import PruneResult, prune_to_relevant, solve_fpt
 from .graph import (CutSet, Graph, Instance, Variant, VerifyResult,
                     bfs_distances, hop_distance, min_edge_cut, min_vertex_cut,
                     verify_cut)
-from .io import generate, load_instance, parse_instance, write_instance
+from .io import (generate, load_instance, parse_instance, read_td,
+                 write_instance, write_td)
 from .oracle import (UNKNOWN, Unknown, brute_force_cut, brute_force_csp,
                      enumerate_short_paths)
 from .treedec import (SubtreeSplit, TreeDecomposition, build_heuristic,
-                      prune_decomposition, read_td, rooted_at, split_at,
-                      subtree_vertex_sets, validate, width, write_td)
+                      prune_decomposition, rooted_at, split_at,
+                      subtree_vertex_sets, validate, width)
 
 __version__ = "0.1.0"

@@ -21,9 +21,8 @@ from .errors import LbcutError, NoVertexCut, ResourceExceeded, UsageError
 from .fpt import solve_fpt
 from .graph import (CutSet, Graph, Instance, Variant, min_edge_cut,
                     min_vertex_cut, verify_cut)
-from .io import GENERATOR_KINDS, generate, load_instance
+from .io import GENERATOR_KINDS, generate, load_instance, read_td
 from .oracle import (DEFAULT_MAX_SIZE, UNKNOWN, brute_force_cut)
-from .treedec import read_td
 
 ALGORITHMS = ("exact", "approx", "brute", "mincut-baseline", "auto")
 
@@ -232,7 +231,7 @@ def cmd_bench(args) -> int:
                     row.update(instance=path.name, algo=algo, error=str(exc))
                     writer.writerow(row)
                 continue
-            oracle = brute_force_cut(inst, max_size=args.oracle_max_size)
+            oracle = brute_force_cut(inst, max_size=args.max_size)
             oracle_size = None if oracle is UNKNOWN else oracle.size
             for algo in algos:
                 writer.writerow(
@@ -291,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", default="exact",
                          help="comma-separated subset of " + ",".join(ALGORITHMS))
     p_bench.add_argument("--output", "-o", help="CSV path (default stdout)")
-    p_bench.add_argument("--oracle-max-size", type=int, default=DEFAULT_MAX_SIZE,
-                         help="largest cut the oracle tries; 0 checks only "
-                              "the empty cut")
-    p_bench.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    p_bench.add_argument("--oracle-max-size", dest="max_size", type=int,
+                         default=DEFAULT_MAX_SIZE,
+                         help="largest cut the oracle and --algos brute try; "
+                              "0 checks only the empty cut")
     p_bench.add_argument("--table-budget", type=int, default=TABLE_BUDGET)
     p_bench.set_defaults(func=cmd_bench)
     return parser

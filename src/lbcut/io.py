@@ -1,82 +1,161 @@
-"""Instance file format (DIMACS-like) and deterministic instance generators.
+"""Instance and decomposition files, and deterministic instance generators.
 
-Format: optional `c ...` comment lines, one `p lbcut <n> <m>` header, then
-exactly m lines `e <u> <v>` with 1-indexed endpoints.
+Both file kinds share one grammar, which this module owns: ``c ...``
+comment lines, no blank lines, one header of non-negative integers before
+any data line, and 1-indexed ids.  An instance (DIMACS-like ``.lbcut``) is
+``p lbcut <n> <m>`` and then exactly m lines ``e <u> <v>``.  A PACE 2017
+``.td`` decomposition is ``s td <bags> <size> <n>``, one ``b <id>
+<vertices...>`` line per bag and one ``<id> <id>`` line per tree edge.
 """
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ParseError, UsageError
 from .graph import Graph, norm_edge
+from .treedec import TreeDecomposition
 
 GENERATOR_KINDS = ("grid", "cycle", "diamond", "theta", "partial-ktree")
 
 
-def parse_instance(text: str) -> Graph:
+def _read(text: str, form: str, data: str,
+          kind: Optional[str] = None) -> Iterator:
+    """Walk ``text`` in the shared grammar.  ``form`` is the header as errors
+    show it: its two leading words, then one word per integer field.
+
+    Yields the tuple of header fields, then ``(lineno, parts)`` per data
+    line.  A data line before the header raises "<data> before header";
+    with ``kind`` given, any other line kind raises "unrecognized line kind".
+    """
+    tag, word, *fields = form.split()
     header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             raise ParseError("blank line", lineno)
-        if parts[0] == "c":
+        first = parts[0]
+        if first == "c":
             continue
-        if parts[0] == "p":
+        if first == tag:
             if header is not None:
                 raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "lbcut":
-                raise ParseError("malformed header, expected 'p lbcut <n> <m>'", lineno)
+            if len(parts) != 2 + len(fields) or parts[1] != word:
+                raise ParseError(f"malformed header, expected '{form}'", lineno)
             try:
-                header = (int(parts[2]), int(parts[3]))
+                header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise ParseError("non-integer header field", lineno) from None
-            if header[0] < 0 or header[1] < 0:
+            if any(x < 0 for x in header):
                 raise ParseError("negative header field", lineno)
+            yield header
             continue
-        if parts[0] == "e":
-            if header is None:
-                raise ParseError("edge before header", lineno)
-            if len(parts) != 3:
-                raise ParseError("edge line needs exactly two endpoints", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("non-integer endpoint", lineno) from None
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint out of range 1..{n}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            e = norm_edge(u - 1, v - 1)
-            if e in seen:
-                raise ParseError(f"duplicate edge {u} {v}", lineno)
-            seen.add(e)
-            edges.append(e)
-            continue
-        raise ParseError(f"unrecognized line kind {parts[0]!r}", lineno)
+        if kind is not None and first != kind:
+            raise ParseError(f"unrecognized line kind {first!r}", lineno)
+        if header is None:
+            raise ParseError(f"{data} before header", lineno)
+        yield lineno, parts
     if header is None:
-        raise ParseError("missing 'p lbcut' header")
-    if len(edges) != header[1]:
-        raise ParseError(
-            f"header declares {header[1]} edges, found {len(edges)}")
-    return Graph(header[0], frozenset(range(header[0])), frozenset(edges))
+        raise ParseError(f"missing '{tag} {word}' header")
+
+
+def _write(header: str, rows: Iterable[str], comments: Iterable[str]) -> str:
+    """Comment lines, then the header, then the caller's 1-indexed rows."""
+    lines = [f"c {c}" for c in comments]
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
+def parse_instance(text: str) -> Graph:
+    lines = _read(text, "p lbcut <n> <m>", "edge", kind="e")
+    n, m = next(lines)
+    edges: set[tuple[int, int]] = set()
+    for lineno, parts in lines:
+        if len(parts) != 3:
+            raise ParseError("edge line needs exactly two endpoints", lineno)
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError("non-integer endpoint", lineno) from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"endpoint out of range 1..{n}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", lineno)
+        e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        if e in edges:
+            raise ParseError(f"duplicate edge {u} {v}", lineno)
+        edges.add(e)
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    return Graph(n, frozenset(range(n)), frozenset(edges))
 
 
 def write_instance(g: Graph, comments: Iterable[str] = ()) -> str:
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p lbcut {g.n} {g.m}")
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    return _write(f"p lbcut {g.n} {g.m}",
+                  (f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)), comments)
 
 
 def load_instance(path: Union[str, Path]) -> Graph:
     return parse_instance(Path(path).read_text())
+
+
+def read_td(text: str) -> tuple[TreeDecomposition, int]:
+    """Parse PACE .td text; returns (decomposition rooted at node 0, n)."""
+    lines = _read(text, "s td <bags> <size> <n>", "data")
+    num_bags, max_bag, n_vertices = next(lines)
+    bags: dict[int, tuple[int, ...]] = {}
+    edges: set[tuple[int, int]] = set()
+    for lineno, parts in lines:
+        if parts[0] == "b":
+            try:
+                values = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise ParseError("non-integer value in bag line", lineno) from None
+            if not values:
+                raise ParseError("bag line without id", lineno)
+            bag_id, verts = values[0], values[1:]
+            if not 1 <= bag_id <= num_bags:
+                raise ParseError(f"bag id {bag_id} out of range", lineno)
+            if bag_id in bags:
+                raise ParseError(f"duplicate bag id {bag_id}", lineno)
+            for v in verts:
+                if not 1 <= v <= n_vertices:
+                    raise ParseError(f"vertex {v} out of range", lineno)
+            bags[bag_id] = tuple(v - 1 for v in verts)
+        else:
+            try:
+                ids = [int(x) for x in parts]
+            except ValueError:
+                raise ParseError("malformed tree edge line", lineno) from None
+            if len(ids) != 2:
+                raise ParseError("tree edge line needs exactly two ids", lineno)
+            x, y = ids
+            if x == y or not (1 <= x <= num_bags and 1 <= y <= num_bags):
+                raise ParseError(f"bad tree edge ({x},{y})", lineno)
+            e = (min(x, y) - 1, max(x, y) - 1)
+            if e in edges:
+                raise ParseError(f"duplicate tree edge ({x},{y})", lineno)
+            edges.add(e)
+    if len(bags) != num_bags:
+        raise ParseError(f"header declares {num_bags} bags, found {len(bags)}")
+    ordered = tuple(bags[i] for i in range(1, num_bags + 1))
+    actual = max((len(b) for b in ordered), default=0)
+    if actual != max_bag:
+        raise ParseError(f"header declares max bag size {max_bag}, found {actual}")
+    return TreeDecomposition(ordered, frozenset(edges), root=0), n_vertices
+
+
+def write_td(td: TreeDecomposition, n_vertices: int,
+             comments: Iterable[str] = ()) -> str:
+    """Serialize in PACE 2017 .td format (1-indexed, bags ascending)."""
+    max_bag = max((len(b) for b in td.bags), default=0)
+    rows = [" ".join(["b", str(i)] + [str(v + 1) for v in bag])
+            for i, bag in enumerate(td.bags, start=1)]
+    rows += [f"{x + 1} {y + 1}" for x, y in sorted(td.tree_edges)]
+    return _write(f"s td {td.n_nodes} {max_bag} {n_vertices}", rows, comments)
 
 
 def _grid(rows: int, cols: int) -> list[tuple[int, int]]:

@@ -1,5 +1,5 @@
 """Rooted tree decompositions: validation, the elimination heuristic,
-surgery, PACE I/O.
+surgery.
 
 The elimination heuristic (``build_heuristic``) repeatedly eliminates the
 vertex with the least (degree, fill-in, id) key in the graph completed so
@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
-from .errors import GraphError, InvalidDecomposition, ParseError
+from .errors import GraphError, InvalidDecomposition
 from .graph import Graph
 
 
@@ -322,84 +322,3 @@ def subtree_vertex_sets(td: TreeDecomposition) -> tuple[frozenset[int], ...]:
             acc |= sets[c]
         sets[a] = frozenset(acc)
     return tuple(sets)
-
-
-def write_td(td: TreeDecomposition, n_vertices: int,
-             comments: Iterable[str] = ()) -> str:
-    """Serialize in PACE 2017 .td format (1-indexed, bags ascending)."""
-    lines = [f"c {c}" for c in comments]
-    max_bag = max((len(b) for b in td.bags), default=0)
-    lines.append(f"s td {td.n_nodes} {max_bag} {n_vertices}")
-    for i, bag in enumerate(td.bags, start=1):
-        lines.append(" ".join(["b", str(i)] + [str(v + 1) for v in bag]))
-    for x, y in sorted(td.tree_edges):
-        lines.append(f"{x + 1} {y + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def read_td(text: str) -> tuple[TreeDecomposition, int]:
-    """Parse PACE .td text; returns (decomposition rooted at node 0, n)."""
-    header: Optional[tuple[int, int, int]] = None
-    bags: dict[int, tuple[int, ...]] = {}
-    edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            raise ParseError("blank line", lineno)
-        if parts[0] == "c":
-            continue
-        if parts[0] == "s":
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError("malformed header, expected 's td <bags> <size> <n>'", lineno)
-            try:
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise ParseError("non-integer header field", lineno) from None
-            if any(x < 0 for x in header):
-                raise ParseError("negative header field", lineno)
-            continue
-        if header is None:
-            raise ParseError("data before header", lineno)
-        num_bags, _, n_vertices = header
-        if parts[0] == "b":
-            try:
-                values = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ParseError("non-integer value in bag line", lineno) from None
-            if not values:
-                raise ParseError("bag line without id", lineno)
-            bag_id, verts = values[0], values[1:]
-            if not 1 <= bag_id <= num_bags:
-                raise ParseError(f"bag id {bag_id} out of range", lineno)
-            if bag_id in bags:
-                raise ParseError(f"duplicate bag id {bag_id}", lineno)
-            for v in verts:
-                if not 1 <= v <= n_vertices:
-                    raise ParseError(f"vertex {v} out of range", lineno)
-            bags[bag_id] = tuple(v - 1 for v in verts)
-        else:
-            try:
-                ids = [int(x) for x in parts]
-            except ValueError:
-                raise ParseError("malformed tree edge line", lineno) from None
-            if len(ids) != 2:
-                raise ParseError("tree edge line needs exactly two ids", lineno)
-            x, y = ids
-            if x == y or not (1 <= x <= num_bags and 1 <= y <= num_bags):
-                raise ParseError(f"bad tree edge ({x},{y})", lineno)
-            e = (min(x, y) - 1, max(x, y) - 1)
-            if e in edges:
-                raise ParseError(f"duplicate tree edge ({x},{y})", lineno)
-            edges.add(e)
-    if header is None:
-        raise ParseError("missing 's td' header")
-    num_bags, max_bag, n_vertices = header
-    if len(bags) != num_bags:
-        raise ParseError(f"header declares {num_bags} bags, found {len(bags)}")
-    ordered = tuple(bags[i] for i in range(1, num_bags + 1))
-    actual = max((len(b) for b in ordered), default=0)
-    if actual != max_bag:
-        raise ParseError(f"header declares max bag size {max_bag}, found {actual}")
-    return TreeDecomposition(ordered, frozenset(edges), root=0), n_vertices

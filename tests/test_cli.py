@@ -346,6 +346,21 @@ def test_bench_oracle_over_budget_leaves_ratio_empty(tmp_path, capsys):
     assert row["ratio_vs_oracle"] == ""
 
 
+def test_bench_oracle_max_size_also_bounds_brute_rows(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "grid44.lbcut").write_text(generate("grid", [4, 4]))
+    code, out, _ = run(capsys, [
+        "bench", "--corpus", str(corpus), "--source", "1", "--sink", "16",
+        "--length", "6", "--variant", "edge", "--algos", "brute",
+        "--oracle-max-size", "0"])
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["algo"] == "brute"
+    assert row["error"] == "unknown within max size 0"
+    assert row["ratio_vs_oracle"] == ""
+
+
 def test_infeasible_solver_output_fails_closed(path_graph, capsys, monkeypatch):
     import lbcut.cli as climod
 

@@ -1,6 +1,7 @@
 import pytest
 
-from lbcut import Graph, ParseError, UsageError, parse_instance, write_instance
+from lbcut import (Graph, ParseError, UsageError, parse_instance, read_td,
+                   write_instance)
 from lbcut.io import generate
 
 
@@ -40,6 +41,33 @@ def test_parse_out_of_range_and_header_errors():
         parse_instance("p lbcut 2\ne 1 2\n")
     with pytest.raises(ParseError):
         parse_instance("p lbcut 2 1\np lbcut 2 1\ne 1 2\n")
+
+
+def _shared_grammar_cases(header, data):
+    """(name, text, line of the error) for each error both file kinds share."""
+    fields = header.split()
+    negative = " ".join(fields[:-1] + ["-1"])
+    short = " ".join(fields[:-1])
+    return [
+        ("blank line", f"{header}\n\n{data}\n", 2),
+        ("duplicate header", f"{header}\n{header}\n{data}\n", 2),
+        ("malformed header", f"c note\n{short}\n{data}\n", 2),
+        ("negative header field", f"c note\n{negative}\n{data}\n", 2),
+        ("data before header", f"c note\n{data}\n{header}\n", 2),
+        ("missing header", "c only a comment\n", None),
+    ]
+
+
+@pytest.mark.parametrize("read, header, data", [
+    (parse_instance, "p lbcut 2 1", "e 1 2"),
+    (read_td, "s td 1 1 2", "b 1 1"),
+], ids=["lbcut", "td"])
+def test_shared_grammar_errors_name_the_same_line(read, header, data):
+    read(f"c note\n{header}\n{data}\n")  # the well-formed file parses
+    for name, text, line in _shared_grammar_cases(header, data):
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert exc.value.line == line, (name, str(exc.value))
 
 
 def test_instance_round_trip_is_exact():
