@@ -9,9 +9,8 @@ bound, brute-force oracles, and a CLI.
 
 from .approx import ApproxResult, TraceEvent, approx_auto, approx_vertex_cut
 from .csp import (Assignment, Constraint, CspInstance, CspSolution,
-                  constraint_graph, cut_to_assignment, decode_edge,
-                  decode_vertex, encode_edge_cut, encode_vertex_cut,
-                  violated_soft_count)
+                  decode_edge, decode_vertex, encode_edge_cut,
+                  encode_vertex_cut)
 from .dp import solve_exact_cut, solve_min_csp
 from .errors import (GraphError, InvalidAssignment, InvalidCut,
                      InvalidDecomposition, LbcutError, NoVertexCut, ParseError,
@@ -25,7 +24,7 @@ from .io import (generate, load_instance, parse_instance, read_td,
 from .oracle import (UNKNOWN, Unknown, brute_force_cut, brute_force_csp,
                      enumerate_short_paths)
 from .treedec import (SubtreeSplit, TreeDecomposition, build_heuristic,
-                      prune_decomposition, rooted_at, split_at,
-                      subtree_vertex_sets, validate, width)
+                      prune_decomposition, split_at, subtree_vertex_sets,
+                      validate, width)
 
 __version__ = "0.1.0"

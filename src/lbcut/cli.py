@@ -13,7 +13,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from .approx import approx_auto, approx_vertex_cut
 from .dp import TABLE_BUDGET
@@ -23,6 +22,7 @@ from .graph import (CutSet, Graph, Instance, Variant, min_edge_cut,
                     min_vertex_cut, verify_cut)
 from .io import GENERATOR_KINDS, generate, load_instance, read_td
 from .oracle import (DEFAULT_MAX_SIZE, UNKNOWN, brute_force_cut)
+from .treedec import TreeDecomposition, validate
 
 ALGORITHMS = ("exact", "approx", "brute", "mincut-baseline", "auto")
 
@@ -71,11 +71,19 @@ def _instance(g: Graph, args) -> Instance:
                     Variant(args.variant))
 
 
-def _load_td(path: str, g: Graph):
+def _load_td(path: str, g: Graph) -> TreeDecomposition:
+    """Read a .td file for g and check it in the file's 1-indexed ids, so
+    that errors name vertices as the file does; checking the vertices alone
+    first names a vertex in no bag by its least id."""
     td, n = read_td(Path(path).read_text())
     if n != g.n:
         raise UsageError(
             f"decomposition declares {n} vertices but the graph has {g.n}")
+    bags = tuple(tuple(v + 1 for v in bag) for bag in td.bags)
+    shifted = TreeDecomposition(bags, td.tree_edges, td.root)
+    vertices = frozenset(v + 1 for v in g.vertices)
+    for edges in (frozenset(), frozenset((u + 1, v + 1) for u, v in g.edges)):
+        validate(shifted, Graph(g.n + 1, vertices, edges))
     return td
 
 
@@ -178,19 +186,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_row(name: str, algo: str, inst: Instance, args,
-               oracle_size: Optional[int]) -> dict:
+def _timed_run(algo: str, inst: Instance, args):
+    """(the cut, UNKNOWN or the LbcutError raised; elapsed ms) of one run."""
+    start = time.perf_counter()
+    try:
+        result = _run_algorithm(algo, inst, None, args)
+    except LbcutError as exc:
+        result = exc
+    return result, (time.perf_counter() - start) * 1000.0
+
+
+def _bench_row(name: str, algo: str, inst: Instance, args, oracle) -> dict:
+    """One CSV row.  ``oracle`` is the ``_timed_run`` of ``brute``, whose
+    cut sets the ratio and which the ``brute`` row reuses."""
+    cut, elapsed_ms = (oracle if algo == "brute"
+                       else _timed_run(algo, inst, args))
     row = {c: "" for c in CSV_COLUMNS}
     row["instance"] = name
     row["algo"] = algo
-    start = time.perf_counter()
-    try:
-        cut = _run_algorithm(algo, inst, None, args)
-    except LbcutError as exc:
-        row["error"] = str(exc)
-        row["elapsed_ms"] = f"{(time.perf_counter() - start) * 1000.0:.3f}"
+    row["elapsed_ms"] = f"{elapsed_ms:.3f}"
+    if isinstance(cut, LbcutError):
+        row["error"] = str(cut)
         return row
-    row["elapsed_ms"] = f"{(time.perf_counter() - start) * 1000.0:.3f}"
     if cut is UNKNOWN:
         row["error"] = f"unknown within max size {args.max_size}"
         return row
@@ -202,7 +219,8 @@ def _bench_row(name: str, algo: str, inst: Instance, args,
         row["lower_bound"] = str(cut.lower_bound)
     if cut.width_used is not None:
         row["width_used"] = str(cut.width_used)
-    if oracle_size is not None:
+    if isinstance(oracle[0], CutSet):
+        oracle_size = oracle[0].size
         if oracle_size > 0:
             row["ratio_vs_oracle"] = f"{cut.size / oracle_size:.4f}"
         elif cut.size == 0:
@@ -231,11 +249,9 @@ def cmd_bench(args) -> int:
                     row.update(instance=path.name, algo=algo, error=str(exc))
                     writer.writerow(row)
                 continue
-            oracle = brute_force_cut(inst, max_size=args.max_size)
-            oracle_size = None if oracle is UNKNOWN else oracle.size
+            oracle = _timed_run("brute", inst, args)
             for algo in algos:
-                writer.writerow(
-                    _bench_row(path.name, algo, inst, args, oracle_size))
+                writer.writerow(_bench_row(path.name, algo, inst, args, oracle))
     finally:
         if args.output:
             out.close()

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidAssignment, InvalidCut
-from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
-                    capped_bfs, cut_blocks)
+from .errors import InvalidAssignment
+from .graph import CutSet, Graph, Instance, Variant, bfs_distances
 
 Assignment = tuple[int, ...]
 # Hop distances (d_s, d_t) from s and from t, indexed by vertex id.
@@ -49,9 +48,6 @@ class Constraint:
             raise InvalidAssignment("constraint scope may not be empty")
         if list(self.scope) != sorted(set(self.scope)):
             raise InvalidAssignment("constraint scope must be sorted and distinct")
-
-    def satisfied_by(self, values: Assignment) -> bool:
-        return tuple(values[v] for v in self.scope) in self.allowed
 
 
 @dataclass(frozen=True)
@@ -94,23 +90,6 @@ class CspInstance:
 class CspSolution:
     cost: int
     assignment: Assignment
-
-
-def violated_soft_count(q: CspInstance, z: Assignment) -> int:
-    return sum(1 for c in q.soft if not c.satisfied_by(z))
-
-
-def satisfies_all_hard(q: CspInstance, z: Assignment) -> bool:
-    return all(c.satisfied_by(z) for c in q.hard)
-
-
-def constraint_graph(q: CspInstance) -> Graph:
-    edges = set()
-    for c in q.hard + q.soft:
-        for i in range(len(c.scope)):
-            for j in range(i + 1, len(c.scope)):
-                edges.add((c.scope[i], c.scope[j]))
-    return Graph(q.num_vars, frozenset(range(q.num_vars)), frozenset(edges))
 
 
 def _label_ranges(inst: Instance,
@@ -229,26 +208,3 @@ def decode_vertex(inst: Instance, z: Assignment) -> CutSet:
                     if v not in (inst.s, inst.t) and z[v] == -1)
     return CutSet(Variant.VERTEX, members, algorithm="csp-decode")
 
-
-def cut_to_assignment(inst: Instance, cut: CutSet) -> Assignment:
-    """Truncated shortest-path labels of the graph minus a feasible cut,
-    clamped into the encodings' label domains.
-
-    A kept vertex's label is min(d(s, v), L+1) in the remainder (L+1 when
-    unreachable or absent), clamped to its domain as in the module
-    docstring; deleted vertices (vertex variant) get -1.
-    """
-    within, blocked = cut_blocks(inst, cut)
-    L = inst.L
-    reached = capped_bfs(inst.graph, inst.s, L + 1, within, blocked)
-    if inst.t in reached and reached[inst.t][0] <= L:
-        raise InvalidCut("cut is not feasible, no labeling exists")
-    labels = [L + 1] * inst.graph.n
-    for v, (d, _) in reached.items():
-        labels[v] = d
-    labels = [min(max(z, lo), hi)
-              for z, (lo, hi) in zip(labels, _label_ranges(inst))]
-    if inst.variant is Variant.VERTEX:
-        for v in cut.members:
-            labels[v] = -1
-    return tuple(labels)

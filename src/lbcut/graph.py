@@ -5,16 +5,16 @@ space and mark missing vertices as absent, so cut members stay addressable
 in the parent graph.
 
 One search, ``capped_bfs``, answers every hop-distance question:
-``bfs_distances``, ``hop_distance``, ``verify_cut`` and
-``csp.cut_to_assignment`` all call it.  A solve searches from s and from t
-once, in ``fpt.prune_to_relevant`` (through ``bfs_distances``), and the
-exact solver's encoder reuses those distances; the approximation's
-short-path tests go through ``hop_distance``, and every answer is checked
-by ``verify_cut``.  The search scans a vertex's neighbours in ascending
-id order, or, when the set it is confined to (``within``) is smaller than
-the vertex's adjacency, that set's members adjacent to it, also ascending:
-both give the same (depth, parent) entries, and a search confined to a few
-vertices costs what it visits even from a vertex of high degree.
+``bfs_distances``, ``hop_distance`` and ``verify_cut`` all call it.  A
+solve searches from s and from t once, in ``fpt.prune_to_relevant``
+(through ``bfs_distances``), and the exact solver's encoder reuses those
+distances; the approximation's short-path tests go through
+``hop_distance``, and every answer is checked by ``verify_cut``.  The
+search scans a vertex's neighbours in ascending id order, or, when the set
+it is confined to (``within``) is smaller than the vertex's adjacency,
+that set's members adjacent to it, also ascending: both give the same
+(depth, parent) entries, and a search confined to a few vertices costs
+what it visits even from a vertex of high degree.
 
 One flow routine, ``_source_side``, finds both minimum cuts:
 ``min_vertex_cut`` and ``min_edge_cut`` build a unit-capacity residual
@@ -110,13 +110,6 @@ class Graph:
         es = frozenset((u, w) for u in kept for w in self._adj[u]
                        if u < w and w in kept)
         return Graph(self.n, kept, es)
-
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        return self.induced(self.vertices - frozenset(drop))
-
-    def without_edges(self, drop: Iterable[tuple[int, int]]) -> "Graph":
-        dropped = frozenset(norm_edge(u, v) for u, v in drop)
-        return Graph(self.n, self.vertices, self.edges - dropped)
 
 
 @dataclass(frozen=True)

@@ -252,10 +252,6 @@ def build_heuristic(g: Graph) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), frozenset(edges), root=0)
 
 
-def rooted_at(td: TreeDecomposition, new_root: int) -> TreeDecomposition:
-    return TreeDecomposition(td.bags, td.tree_edges, root=new_root)
-
-
 @dataclass(frozen=True)
 class SubtreeSplit:
     """The two halves of a decomposition split at a node b.
@@ -310,7 +306,7 @@ def prune_decomposition(td: TreeDecomposition, g: Graph,
     if not drop <= g.vertices:
         raise GraphError("prune set contains vertices not in the graph")
     bags = tuple(tuple(v for v in bag if v not in drop) for bag in td.bags)
-    return g.without_vertices(drop), TreeDecomposition(bags, td.tree_edges, td.root)
+    return g.induced(g.vertices - drop), TreeDecomposition(bags, td.tree_edges, td.root)
 
 
 def subtree_vertex_sets(td: TreeDecomposition) -> tuple[frozenset[int], ...]:

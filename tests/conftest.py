@@ -9,6 +9,7 @@ from itertools import combinations, product
 import networkx as nx
 
 from lbcut import Constraint, CspInstance, CutSet, Graph, Instance, Variant, verify_cut
+from lbcut.graph import norm_edge
 
 # number of isomorphism classes of (connected) simple graphs per vertex count
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -122,10 +123,19 @@ def brute_min_edge_cut_size(g: Graph, s: int, t: int) -> int:
     edges = sorted(g.edges)
     for k in range(len(edges) + 1):
         for combo in combinations(edges, k):
-            g2 = g.without_edges(combo)
+            g2 = without_edges(g, combo)
             if _separates(g2, set(), s, t):
                 return k
     raise AssertionError("unreachable")
+
+
+def without_vertices(g: Graph, drop) -> Graph:
+    return g.induced(g.vertices - frozenset(drop))
+
+
+def without_edges(g: Graph, drop) -> Graph:
+    dropped = frozenset(norm_edge(u, v) for u, v in drop)
+    return Graph(g.n, g.vertices, g.edges - dropped)
 
 
 def oracle_feasible(inst: Instance, members) -> bool:
@@ -167,6 +177,26 @@ def random_csp(rng: random.Random, max_vars=10, max_dom=4) -> CspInstance:
         cons.append(Constraint(scope, allowed))
     split = rng.randint(0, len(cons))
     return CspInstance(nv, domains, tuple(cons[:split]), tuple(cons[split:]))
+
+
+def satisfied_by(c: Constraint, z) -> bool:
+    return tuple(z[v] for v in c.scope) in c.allowed
+
+
+def violated_soft_count(q: CspInstance, z) -> int:
+    return sum(1 for c in q.soft if not satisfied_by(c, z))
+
+
+def satisfies_all_hard(q: CspInstance, z) -> bool:
+    return all(satisfied_by(c, z) for c in q.hard)
+
+
+def constraint_graph(q: CspInstance) -> Graph:
+    """Variables of q, adjacent when some constraint's scope holds both."""
+    edges = set()
+    for c in q.hard + q.soft:
+        edges.update(combinations(c.scope, 2))
+    return Graph(q.num_vars, frozenset(range(q.num_vars)), frozenset(edges))
 
 
 def subdivide(g: Graph, rng: random.Random, max_extra: int = 1) -> Graph:

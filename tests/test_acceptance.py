@@ -19,14 +19,13 @@ import pytest
 from lbcut import (Graph, Instance, UNKNOWN, Variant, approx_vertex_cut,
                    brute_force_csp, brute_force_cut, build_heuristic,
                    encode_edge_cut, encode_vertex_cut, hop_distance,
-                   parse_instance, read_td, rooted_at, solve_exact_cut,
-                   solve_fpt, solve_min_csp, verify_cut, violated_soft_count,
-                   width, write_instance, write_td)
-from lbcut.csp import satisfies_all_hard
+                   parse_instance, read_td, solve_exact_cut, solve_fpt,
+                   solve_min_csp, verify_cut, width, write_instance, write_td)
 from lbcut.io import generate
 from lbcut.treedec import TreeDecomposition
 
-from conftest import atlas_graphs, grid_graph, random_csp, subdivide
+from conftest import (atlas_graphs, constraint_graph, grid_graph, random_csp,
+                      satisfies_all_hard, subdivide, violated_soft_count)
 
 ORACLE_MAX = 6  # optimum on n <= 6 never exceeds the max degree (5)
 
@@ -68,8 +67,9 @@ def sweep() -> Sweep:
         decomposition = build_heuristic(g)
         # the approximation meets the decomposition at two tree shapes:
         # its own root 0 and another node
-        rerooted = rooted_at(decomposition,
-                             rng.randrange(1, decomposition.n_nodes))
+        rerooted = TreeDecomposition(
+            decomposition.bags, decomposition.tree_edges,
+            root=rng.randrange(1, decomposition.n_nodes))
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 for L in (1, 2, 3, 4, 5):
@@ -126,7 +126,7 @@ def test_criterion_3_dp_vs_enumeration(sweep):
     bad_random = []
     for i in range(300):
         q = random_csp(rng, max_vars=10, max_dom=4)
-        td = build_heuristic(_constraint_graph(q))
+        td = build_heuristic(constraint_graph(q))
         got = solve_min_csp(q, td)
         want = brute_force_csp(q)
         if want is None or got is None:
@@ -139,11 +139,6 @@ def test_criterion_3_dp_vs_enumeration(sweep):
     _report(3, "DP equals exhaustive enumeration", ok)
     assert not bad_corpus, bad_corpus[:5]
     assert not bad_random, bad_random[:5]
-
-
-def _constraint_graph(q):
-    from lbcut import constraint_graph
-    return constraint_graph(q)
 
 
 def test_criterion_4_approximation_ratio(sweep):

@@ -6,12 +6,13 @@ import pytest
 from lbcut import (Graph, Instance, InvalidDecomposition, TreeDecomposition,
                    UNKNOWN, Variant, approx_auto, approx_vertex_cut,
                    brute_force_cut, build_heuristic, enumerate_short_paths,
-                   generate, parse_instance, rooted_at, validate, verify_cut,
+                   generate, parse_instance, validate, verify_cut,
                    width)
 from lbcut.approx import LiveSubtrees
 from lbcut.treedec import subtree_vertex_sets
 
-from conftest import atlas_graphs, fan_instance, grid_graph, random_graph
+from conftest import (atlas_graphs, fan_instance, grid_graph, random_graph,
+                      without_vertices)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -21,7 +22,8 @@ def _two_shapes(g: Graph, rng: random.Random) -> tuple[TreeDecomposition, ...]:
     """The heuristic decomposition at its own root 0 and at a random other
     node (g has at least two vertices, so at least two nodes)."""
     td = build_heuristic(g)
-    return td, rooted_at(td, rng.randrange(1, td.n_nodes))
+    return td, TreeDecomposition(td.bags, td.tree_edges,
+                                 root=rng.randrange(1, td.n_nodes))
 
 
 def test_path_cut_of_size_one():
@@ -118,7 +120,7 @@ def test_invalid_decomposition_rejected():
     # bag mentions a vertex the graph does not have
     with pytest.raises(InvalidDecomposition):
         approx_vertex_cut(
-            Instance(PATH4.without_vertices([1]), 0, 3, 3, Variant.VERTEX),
+            Instance(without_vertices(PATH4, [1]), 0, 3, 3, Variant.VERTEX),
             TreeDecomposition(((0, 1, 2, 3),), frozenset()))
 
 
@@ -198,7 +200,8 @@ def test_live_subtree_sets_match_materialised_sets():
         if n > 2 and rng.random() < 0.3:
             g = g.induced(rng.sample(range(n), rng.randint(1, n - 1)))
         td = build_heuristic(g)
-        td = rooted_at(td, rng.randrange(td.n_nodes))
+        td = TreeDecomposition(td.bags, td.tree_edges,
+                               root=rng.randrange(td.n_nodes))
         below = subtree_vertex_sets(td)
         live = LiveSubtrees(td, validate(td, g))
         alive = set(g.vertices)

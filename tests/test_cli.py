@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from lbcut import CutSet, Variant, build_heuristic, parse_instance, write_td
+from lbcut import (CutSet, Variant, brute_force_cut, build_heuristic,
+                   parse_instance, write_td)
 from lbcut.cli import main
 from lbcut.io import generate
 
@@ -191,23 +192,39 @@ def test_bad_supplied_decomposition_names_one_vertex_under_every_algo(
         tmp_path, capsys):
     # The README's 3x3 grid with a decomposition that leaves out vertices 4
     # and 5.  The exact solver prunes to the short-path region {2, 3, 5, 6}
-    # and relabels it, so unless it checks the file against the whole graph
+    # and relabels it, so unless the file is checked against the whole graph
     # first, its message names vertex 5 by its index in the pruned graph.
+    # The message names the least vertex missing, in the file's ids.
     graph = tmp_path / "grid33.lbcut"
     graph.write_text(generate("grid", [3, 3]))
     td_file = tmp_path / "missing45.td"
     td_file.write_text("s td 3 3 9\nb 1 1 2 3\nb 2 3 6 9\nb 3 7 8 9\n"
                        "1 2\n2 3\n")
-    errors = set()
     for algo in ("exact", "approx", "auto"):
         code, out, err = run(capsys, [
             "solve", "--graph", str(graph), "--source", "2", "--sink", "6",
             "--length", "2", "--variant", "vertex", "--algo", algo,
             "--td", str(td_file)])
-        assert code == 1 and out == "", algo
-        assert "appears in no bag" in err, algo
-        errors.add(err)
-    assert len(errors) == 1, errors
+        assert (code, out, err) == (
+            1, "", "error: vertex 4 appears in no bag\n"), algo
+
+
+@pytest.mark.parametrize("td_text,message", [
+    ("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n",
+     "edge (2,3) is covered by no bag"),
+    ("s td 4 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 1\n1 2\n2 3\n3 4\n",
+     "bags containing vertex 1 do not form a subtree"),
+], ids=["uncovered-edge", "split-vertex"])
+def test_td_errors_name_file_ids(path_graph, tmp_path, capsys, td_text,
+                                 message):
+    td_file = tmp_path / "bad.td"
+    td_file.write_text(td_text)
+    for algo in ("exact", "approx", "auto"):
+        code, out, err = run(capsys, [
+            "solve", "--graph", str(path_graph), "--source", "1", "--sink",
+            "4", "--length", "3", "--variant", "vertex", "--algo", algo,
+            "--td", str(td_file)])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), algo
 
 
 def test_solve_brute_and_baseline(path_graph, capsys):
@@ -359,6 +376,31 @@ def test_bench_oracle_max_size_also_bounds_brute_rows(tmp_path, capsys):
     assert row["algo"] == "brute"
     assert row["error"] == "unknown within max size 0"
     assert row["ratio_vs_oracle"] == ""
+
+
+def test_bench_runs_the_oracle_once_per_instance(tmp_path, capsys,
+                                                monkeypatch):
+    import lbcut.cli as climod
+
+    calls = []
+
+    def counted(inst, max_size):
+        calls.append(max_size)
+        return brute_force_cut(inst, max_size=max_size)
+
+    monkeypatch.setattr(climod, "brute_force_cut", counted)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "grid44.lbcut").write_text(generate("grid", [4, 4]))
+    code, out, _ = run(capsys, [
+        "bench", "--corpus", str(corpus), "--source", "1", "--sink", "16",
+        "--length", "6", "--variant", "edge", "--algos", "brute,exact"])
+    assert code == 0
+    assert calls == [6]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["algo"], r["size"], r["lower_bound"], r["ratio_vs_oracle"],
+             r["error"]) for r in rows] == [
+        ("brute", "2", "2", "1.0000", ""), ("exact", "2", "2", "1.0000", "")]
 
 
 def test_infeasible_solver_output_fails_closed(path_graph, capsys, monkeypatch):

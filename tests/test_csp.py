@@ -7,13 +7,13 @@ import pytest
 from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
                    InvalidAssignment, InvalidCut, NoVertexCut, Variant,
                    bfs_distances, brute_force_csp, brute_force_cut,
-                   build_heuristic, constraint_graph, cut_to_assignment,
-                   decode_edge, decode_vertex, encode_edge_cut,
-                   encode_vertex_cut, solve_min_csp, verify_cut,
-                   violated_soft_count)
-from lbcut.csp import satisfies_all_hard
+                   build_heuristic, decode_edge, decode_vertex,
+                   encode_edge_cut, encode_vertex_cut, solve_min_csp,
+                   verify_cut)
 
-from conftest import atlas_graphs, grid_graph, random_graph
+from conftest import (atlas_graphs, constraint_graph, grid_graph,
+                      random_graph, satisfies_all_hard, violated_soft_count,
+                      without_edges, without_vertices)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -99,6 +99,30 @@ def test_decode_vertex_rejects_broken_edge_constraint():
         decode_vertex(inst, (0, 3, -1, 3))  # edge (0,1) has |0-3| > 1
 
 
+def cut_to_assignment(inst, cut):
+    """Labels of a feasible cut: each kept vertex's hop distance from s in
+    the graph minus the cut (L+1 when farther or unreached), clamped into
+    its domain in the instance's encoding; deleted vertices get -1."""
+    if not verify_cut(inst, cut).feasible:  # raises on a cut that does not fit
+        raise InvalidCut("cut is not feasible, no labeling exists")
+    L = inst.L
+    if cut.variant is Variant.EDGE:
+        rest, q = without_edges(inst.graph, cut.members), encode_edge_cut(inst)
+    else:
+        rest = without_vertices(inst.graph, cut.members)
+        q = encode_vertex_cut(inst)
+    dist = bfs_distances(rest, inst.s, cap=L + 1)
+    labels = []
+    for v, dom in enumerate(q.domains):
+        if cut.variant is Variant.VERTEX and v in cut.members:
+            labels.append(-1)
+            continue
+        lo = min(x for x in dom if x != -1)
+        labels.append(min(max(L + 1 if dist[v] is None else dist[v], lo),
+                          dom[-1]))
+    return tuple(labels)
+
+
 def test_cut_to_assignment_examples():
     inst = Instance(PATH4, 0, 3, 3, Variant.EDGE)
     z = cut_to_assignment(inst, CutSet(Variant.EDGE, ((1, 2),)))
@@ -132,9 +156,9 @@ def _reference_labels(inst, cut):
     """BFS labels on a copy of the graph with the cut deleted, clamped into
     the label domains."""
     if cut.variant is Variant.EDGE:
-        rest = inst.graph.without_edges(cut.members)
+        rest = without_edges(inst.graph, cut.members)
     else:
-        rest = inst.graph.without_vertices(cut.members)
+        rest = without_vertices(inst.graph, cut.members)
     dist = bfs_distances(rest, inst.s)
     if dist[inst.t] is not None and dist[inst.t] <= inst.L:
         raise InvalidCut("cut is not feasible, no labeling exists")

@@ -6,13 +6,12 @@ import pytest
 from lbcut import (Constraint, CspInstance, Graph, Instance,
                    InvalidDecomposition, ResourceExceeded, TreeDecomposition,
                    Variant, brute_force_csp, brute_force_cut, build_heuristic,
-                   constraint_graph, encode_edge_cut, encode_vertex_cut,
-                   generate, parse_instance, rooted_at, solve_exact_cut,
-                   solve_fpt, solve_min_csp, violated_soft_count)
-from lbcut.csp import satisfies_all_hard
+                   encode_edge_cut, encode_vertex_cut, generate,
+                   parse_instance, solve_exact_cut, solve_fpt, solve_min_csp)
 from lbcut.treedec import scope_owners
 
-from conftest import random_csp
+from conftest import (constraint_graph, random_csp, satisfied_by,
+                      satisfies_all_hard, violated_soft_count)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -92,7 +91,8 @@ def test_scope_owner_partition():
         q = random_csp(rng, max_vars=8, max_dom=3)
         td = decomposition_for(q)
         # top nodes, and so owners, depend on the root
-        td = rooted_at(td, rng.randrange(td.n_nodes))
+        td = TreeDecomposition(td.bags, td.tree_edges,
+                               root=rng.randrange(td.n_nodes))
         cons = q.hard + q.soft
         _, owners = scope_owners(td, [c.scope for c in cons],
                                  range(q.num_vars))
@@ -111,7 +111,7 @@ def test_scope_owner_partition():
             z = tuple(rng.choice(d) for d in q.domains)
             per_owner = [0] * td.n_nodes
             for c, a in zip(q.soft, soft_owners):
-                if not c.satisfied_by(z):
+                if not satisfied_by(c, z):
                     per_owner[a] += 1
             assert sum(per_owner) == violated_soft_count(q, z)
 

@@ -4,10 +4,9 @@ import pytest
 
 from lbcut import (Constraint, CspInstance, Graph, Instance, ResourceExceeded,
                    UNKNOWN, Variant, brute_force_csp, brute_force_cut,
-                   encode_edge_cut, enumerate_short_paths, violated_soft_count)
-from lbcut.csp import satisfies_all_hard
+                   encode_edge_cut, enumerate_short_paths)
 
-from conftest import grid_graph
+from conftest import grid_graph, satisfies_all_hard, violated_soft_count
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -5,7 +5,7 @@ import pytest
 
 from lbcut import (Graph, InvalidDecomposition, ParseError, TreeDecomposition,
                    build_heuristic, generate, parse_instance,
-                   prune_decomposition, read_td, rooted_at, split_at,
+                   prune_decomposition, read_td, split_at,
                    subtree_vertex_sets, validate, width, write_td)
 
 from conftest import (exact_treewidth, fan_instance, grid_graph, random_graph,
@@ -104,7 +104,8 @@ def test_validate_matches_axioms_on_random_decompositions():
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
         own = build_heuristic(g)
-        for td in (own, rooted_at(own, rng.randrange(own.n_nodes))):
+        for td in (own, TreeDecomposition(own.bags, own.tree_edges,
+                                          root=rng.randrange(own.n_nodes))):
             bags = [list(b) for b in td.bags]
             a = rng.randrange(td.n_nodes)
             change = rng.choice(("none", "drop", "add", "stray"))
@@ -135,7 +136,8 @@ def test_build_heuristic_on_trees_gives_width_one():
     for _ in range(30):
         g = random_tree(rng, rng.randint(2, 50))
         own = build_heuristic(g)
-        for td in (own, rooted_at(own, rng.randrange(own.n_nodes))):
+        for td in (own, TreeDecomposition(own.bags, own.tree_edges,
+                                          root=rng.randrange(own.n_nodes))):
             validate(td, g)
             assert width(td) == 1
 
@@ -269,11 +271,13 @@ def test_subtree_vertex_sets():
     assert subtree_vertex_sets(leaf_td)[0] == {0, 1, 2}
 
 
-def test_rooted_at_is_pure():
-    td = TreeDecomposition(((0, 1), (1, 2)), frozenset({(0, 1)}), root=0)
-    td2 = rooted_at(td, 1)
-    assert td2.root == 1 and td2.parent[0] == 1
-    assert td.root == 0 and td.parent[1] == 0
+def test_one_tree_under_two_roots():
+    bags, edges = ((0, 1), (1, 2)), frozenset({(0, 1)})
+    td = TreeDecomposition(bags, edges, root=0)
+    td2 = TreeDecomposition(bags, edges, root=1)
+    assert td2.root == 1 and td2.parent[0] == 1 and td2.parent[1] is None
+    assert td.root == 0 and td.parent[1] == 0 and td.parent[0] is None
+    assert td2.bags == td.bags and td2.tree_edges == td.tree_edges
 
 
 def test_random_graph_surgery_keeps_validity():
@@ -283,7 +287,8 @@ def test_random_graph_surgery_keeps_validity():
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
         td = build_heuristic(g)
         if trial % 2:
-            td = rooted_at(td, rng.randrange(td.n_nodes))
+            td = TreeDecomposition(td.bags, td.tree_edges,
+                                   root=rng.randrange(td.n_nodes))
         validate(td, g)
 
         b = rng.randrange(td.n_nodes)
