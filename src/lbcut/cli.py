@@ -73,17 +73,15 @@ def _instance(g: Graph, args) -> Instance:
 
 def _load_td(path: str, g: Graph) -> TreeDecomposition:
     """Read a .td file for g and check it in the file's 1-indexed ids, so
-    that errors name vertices as the file does; checking the vertices alone
-    first names a vertex in no bag by its least id."""
+    that errors name vertices as the file does."""
     td, n = read_td(Path(path).read_text())
     if n != g.n:
         raise UsageError(
             f"decomposition declares {n} vertices but the graph has {g.n}")
     bags = tuple(tuple(v + 1 for v in bag) for bag in td.bags)
-    shifted = TreeDecomposition(bags, td.tree_edges, td.root)
-    vertices = frozenset(v + 1 for v in g.vertices)
-    for edges in (frozenset(), frozenset((u + 1, v + 1) for u, v in g.edges)):
-        validate(shifted, Graph(g.n + 1, vertices, edges))
+    validate(TreeDecomposition(bags, td.tree_edges, td.root),
+             Graph(g.n + 1, frozenset(v + 1 for v in g.vertices),
+                   frozenset((u + 1, v + 1) for u, v in g.edges)))
     return td
 
 

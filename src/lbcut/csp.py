@@ -16,11 +16,19 @@ lies in these domains, and, because lo and hi change by at most 1 along an
 edge, keeps every edge that z kept within 1; so it costs no more.  A vertex
 on no s-t path of length at most L (d(s,v) + d(v,t) > L) has one label
 besides -1.
+
+A ``CspInstance`` keys its constraints by relation when it is built: each
+distinct (allowed tuples, scope domains) pair is listed once in
+``relations``, and ``relation_index`` gives every constraint its pair's
+position there.  An encoding has thousands of constraints but few pairs
+(the edge constraints share one relation per pair of end domains), so each
+pair's tuples are checked once, and the DP builds one penalty array per
+pair and kind without rebuilding a domains key for every constraint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InvalidAssignment
@@ -52,12 +60,25 @@ class Constraint:
 
 @dataclass(frozen=True)
 class CspInstance:
-    """Finite-domain minimization CSP with hard and unit-weight soft constraints."""
+    """Finite-domain minimization CSP with hard and unit-weight soft constraints.
+
+    ``relations`` lists each distinct (allowed tuples, scope domains) pair
+    once, in order of first use, and ``relation_index[i]`` is the position
+    there of constraint i of ``hard + soft``.  Both are derived when the
+    instance is built and take no part in equality.  Each distinct pair's
+    tuples are checked against its domains once, and the DP builds one
+    penalty array per pair and kind.
+    """
 
     num_vars: int
     domains: tuple[tuple[int, ...], ...]
     hard: tuple[Constraint, ...]
     soft: tuple[Constraint, ...]
+    relations: tuple[tuple[frozenset[tuple[int, ...]],
+                           tuple[tuple[int, ...], ...]], ...] = field(
+        init=False, repr=False, compare=False)
+    relation_index: tuple[int, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domains",
@@ -69,21 +90,26 @@ class CspInstance:
         for d in self.domains:
             if list(d) != sorted(set(d)):
                 raise InvalidAssignment("domains must be sorted and duplicate-free")
-        checked = set()  # (relation, scope domains) pairs already checked
+        index: dict = {}  # (relation, scope domains) -> its position
+        relation_index = []
         for c in self.hard + self.soft:
             if c.scope[0] < 0 or c.scope[-1] >= self.num_vars:
                 raise InvalidAssignment(f"scope {c.scope} out of range")
             doms = tuple(self.domains[v] for v in c.scope)
-            if (c.allowed, doms) in checked:
-                continue
-            checked.add((c.allowed, doms))
-            for t in c.allowed:
-                if len(t) != len(c.scope):
-                    raise InvalidAssignment("allowed tuple arity mismatch")
-                for v, d, x in zip(c.scope, doms, t):
-                    if x not in d:
-                        raise InvalidAssignment(
-                            f"allowed value {x} outside domain of variable {v}")
+            key = (c.allowed, doms)
+            r = index.get(key)
+            if r is None:
+                r = index[key] = len(index)
+                for t in c.allowed:
+                    if len(t) != len(c.scope):
+                        raise InvalidAssignment("allowed tuple arity mismatch")
+                    for v, d, x in zip(c.scope, doms, t):
+                        if x not in d:
+                            raise InvalidAssignment(
+                                f"allowed value {x} outside domain of variable {v}")
+            relation_index.append(r)
+        object.__setattr__(self, "relations", tuple(index))
+        object.__setattr__(self, "relation_index", tuple(relation_index))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ checked when the TreeDecomposition is built.  Bottom-up over the rooted tree,
 each node's table is one numpy array with an axis per bag variable, in bag
 order, sized by that variable's domain.  Each owned constraint adds its
 penalty array over its scope, broadcast across the bag: 0 where allowed, 1
-where a soft constraint is violated, inf where a hard one is.  A child is
-folded in by minimizing its table over the variables its parent lacks; the
-argmin, shaped like the separator, is kept as the back-pointer and the
-child's table is dropped.  A top-down pass over the back-pointers rebuilds
-one optimal assignment.
+where a soft constraint is violated, inf where a hard one is; one array is
+built per relation of ``CspInstance.relations`` and kind.  A child is
+folded in by eliminating the variables its parent lacks, one axis at a
+time, last axis first (bucket elimination): ``argmin`` and ``min`` over
+that axis.  Each elimination keeps its own back-pointer (the variable, the
+variables still on the axes, the argmin array), and a child whose bag lies
+inside its parent's is added unreduced.  The root is reduced the same way
+down to the optimum.  Eliminating the last axis first picks, in C order,
+the first minimum of the flattened child-only axes.  A top-down pass over
+the back-pointers sets one variable per back-pointer and rebuilds one
+optimal assignment.
 
 ``table_budget`` caps the entry count of any one bag's table: a bag over it
 aborts with ResourceExceeded before its table is allocated.
@@ -22,62 +28,48 @@ aborts with ResourceExceeded before its table is allocated.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
-from .csp import (Constraint, CspInstance, CspSolution, Distances,
+from .csp import (CspInstance, CspSolution, Distances,
                   decode_edge, decode_vertex, encode_edge_cut,
                   encode_vertex_cut)
 from .errors import LbcutError, ResourceExceeded
 from .graph import CutSet, Instance, Variant, verify_cut
-from .treedec import TreeDecomposition, build_heuristic, scope_owners, width
+from .treedec import (TreeDecomposition, build_heuristic, scope_owners,
+                      top_nodes, width)
 
 TABLE_BUDGET = 1 << 26
 
 
-def _penalty(q: CspInstance, c: Constraint, hard: bool,
-             cache: dict) -> np.ndarray:
-    """Cost over the scope's domain positions: 0 where allowed, else 1 (soft)
-    or inf (hard).  Built once per (relation, scope domains, kind) in ``cache``.
-    """
-    doms = tuple(q.domains[v] for v in c.scope)
-    key = (c.allowed, doms, hard)
-    pen = cache.get(key)
-    if pen is None:
-        pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
-        pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
-        for t in c.allowed:
-            pen[tuple(p[x] for p, x in zip(pos_of, t))] = 0.0
-        cache[key] = pen
+def _penalty(q: CspInstance, relation: int, hard: bool) -> np.ndarray:
+    """Cost over a relation's domain positions (``q.relations``): 0 where
+    allowed, else 1 (soft) or inf (hard)."""
+    allowed, doms = q.relations[relation]
+    pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
+    pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
+    for t in allowed:
+        pen[tuple(p[x] for p, x in zip(pos_of, t))] = 0.0
     return pen
 
 
-def _spread(bag: tuple[int, ...], shape: tuple[int, ...], sub) -> list[int]:
-    """Shape that broadcasts an array over ``sub`` across the bag's table.
+def _eliminate(table: np.ndarray, bag: tuple[int, ...], keep: AbstractSet[int],
+               backs: list) -> tuple[np.ndarray, list[int]]:
+    """Minimize a table, one axis per variable of ``bag`` outside ``keep``,
+    last axis first.
 
-    ``sub`` must be a sub-sequence of the bag; bags and scopes are sorted,
-    so an array over ``sub`` already has its axes in bag order.
+    Each elimination appends its back-pointer to ``backs``: the variable,
+    the variables still on the axes, and the argmin over them.  Returns the
+    reduced table and its variables, a sub-sequence of ``bag``.
     """
-    keep = set(sub)
-    return [n if v in keep else 1 for v, n in zip(bag, shape)]
-
-
-def _message(child: np.ndarray, cbag: tuple[int, ...],
-             parent_vars: set[int]) -> tuple[np.ndarray, tuple]:
-    """Minimize a child's table over the variables its parent lacks.
-
-    Returns the message, shaped like the separator, and the back-pointer:
-    (separator vars, child-only vars, their domain sizes, argmin over the
-    child-only positions, shaped like the separator).
-    """
-    shared = [i for i, v in enumerate(cbag) if v in parent_vars]
-    rest = [i for i, v in enumerate(cbag) if v not in parent_vars]
-    flat = child.transpose(shared + rest).reshape(
-        [child.shape[i] for i in shared] + [-1])
-    back = (tuple(cbag[i] for i in shared), tuple(cbag[i] for i in rest),
-            tuple(child.shape[i] for i in rest), flat.argmin(axis=-1))
-    return flat.min(axis=-1), back
+    left = list(bag)
+    for i in reversed(range(len(bag))):
+        if bag[i] not in keep:
+            del left[i]
+            backs.append((bag[i], tuple(left), table.argmin(axis=i)))
+            table = table.min(axis=i)
+    return table, left
 
 
 def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
@@ -90,16 +82,17 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     """
     cons = q.hard + q.soft
     # Before the empty-domain return: an uncovered scope raises regardless.
-    _, owners = scope_owners(td, [c.scope for c in cons], range(q.num_vars))
-    owned: list[list[tuple[Constraint, bool]]] = [[] for _ in range(td.n_nodes)]
-    for i, (c, a) in enumerate(zip(cons, owners)):
-        owned[a].append((c, i < len(q.hard)))
+    owners = scope_owners(td, top_nodes(td, range(q.num_vars)),
+                          [c.scope for c in cons])
+    owned: list[list[tuple]] = [[] for _ in range(td.n_nodes)]
+    for i, (c, a, r) in enumerate(zip(cons, owners, q.relation_index)):
+        owned[a].append((c.scope, (r, i < len(q.hard))))
     if any(len(d) == 0 for d in q.domains):
         return None
 
-    penalties: dict = {}
+    penalties: dict[tuple[int, bool], np.ndarray] = {}
     costs: dict[int, np.ndarray] = {}
-    backs: list[tuple] = []  # one per joined child, see _message
+    backs: list[tuple] = []  # (variable, variables left, argmin), see _eliminate
     for a in reversed(td.order):
         bag = td.bags[a]
         shape = tuple(len(q.domains[v]) for v in bag)
@@ -108,31 +101,32 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
             raise ResourceExceeded(
                 f"table at node {a} needs {size} entries "
                 f"(budget {table_budget})")
-        cost = np.zeros(shape)
-        for c, hard in owned[a]:
-            cost += _penalty(q, c, hard, penalties).reshape(
-                _spread(bag, shape, c.scope))
+        terms = []  # (array, its variables, a sub-sequence of the bag)
+        for scope, key in owned[a]:
+            pen = penalties.get(key)
+            if pen is None:
+                pen = penalties[key] = _penalty(q, *key)
+            terms.append((pen, scope))
         for ch in td.children[a]:
-            msg, back = _message(costs.pop(ch), td.bags[ch], set(bag))
-            cost += msg.reshape(_spread(bag, shape, back[0]))
-            backs.append(back)
+            terms.append(_eliminate(costs.pop(ch), td.bags[ch],
+                                    td.bag_sets[a], backs))
+        cost = np.zeros(shape)
+        for arr, sub in terms:
+            cost += arr.reshape([n if v in sub else 1
+                                 for v, n in zip(bag, shape)])
         costs[a] = cost
 
-    root = costs.pop(td.root)
-    best = int(root.argmin())
-    best_cost = root.flat[best]
+    best_cost, _ = _eliminate(costs.pop(td.root), td.bags[td.root],
+                              frozenset(), backs)
     if not np.isfinite(best_cost):
         return None
 
     pos: list[Optional[int]] = [None] * q.num_vars
-    for v, p in zip(td.bags[td.root], np.unravel_index(best, root.shape)):
-        pos[v] = p
-    # Joins ran children before parents, so reversed, every separator's
-    # variables are set before its back-pointer is read.
-    for sep, rest, rest_shape, arg in reversed(backs):
-        k = arg[tuple(pos[v] for v in sep)]
-        for v, p in zip(rest, np.unravel_index(k, rest_shape)):
-            pos[v] = p
+    # Joins ran children before parents and each eliminated its last axis
+    # first, so reversed, every back-pointer's variables are set before it
+    # is read.
+    for v, left, arg in reversed(backs):
+        pos[v] = arg[tuple(pos[u] for u in left)]
     values = tuple(d[0 if p is None else int(p)]
                    for d, p in zip(q.domains, pos))
     return CspSolution(int(best_cost), values)

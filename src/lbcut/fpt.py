@@ -1,8 +1,9 @@
 """One front end for every solver: prune to the vertices short s-t paths can use.
 
 A vertex can lie on an s-t path of length at most L only if
-d(s,v) + d(t,v) <= L.  ``prune_to_relevant`` runs the two L-capped BFS
-searches, from s and from t, once per solve, and keeps those vertices.
+d(s,v) + d(t,v) <= L.  ``prune_to_relevant`` runs two L-capped BFS
+searches once per solve and keeps those vertices: one from s over the
+whole graph, and one from t that enters only vertices it keeps.
 Solving on their induced subgraph is optimal for the original instance: no
 short path can leave the subgraph, and the subgraph optimum is a lower
 bound.  When t is more than L from s nothing is kept: no short path exists
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from . import graph
 from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError
 # hop_distance: unused, kept for the benchmark's tracer
@@ -58,17 +60,21 @@ class PruneResult:
 
 
 def prune_to_relevant(inst: Instance) -> PruneResult:
-    """Keep the vertices v with d(s,v) + d(v,t) <= L (none if t is out of reach)."""
+    """Keep the vertices v with d(s,v) + d(v,t) <= L (none if t is out of reach).
+
+    The search from t enters v at depth k only if d(s,v) + k <= L.  Every
+    vertex on a shortest t-v path of a kept v is kept (module docstring),
+    so it reaches exactly the kept vertices, each at its distance from t.
+    """
     g, L = inst.graph, inst.L
     ds = bfs_distances(g, inst.s, cap=L)
     if ds[inst.t] is None:
         return PruneResult((), {}, (), (), g)
-    dt = bfs_distances(g, inst.t, cap=L)
-    kept = tuple(v for v, (a, b) in enumerate(zip(ds, dt))
-                 if a is not None and b is not None and a + b <= L)
+    dt = graph.capped_bfs(g, inst.t, L, offset=ds)
+    kept = tuple(sorted(dt))
     return PruneResult(kept, {v: i for i, v in enumerate(kept)},
-                       tuple(ds[v] for v in kept), tuple(dt[v] for v in kept),
-                       g)
+                       tuple(ds[v] for v in kept),
+                       tuple(dt[v][0] for v in kept), g)
 
 
 def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import GraphError, InvalidCut, NoVertexCut
 
@@ -180,14 +180,19 @@ class VerifyResult:
 def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
                within: Optional[AbstractSet[int]] = None,
                blocked: AbstractSet[Edge] = frozenset(),
-               stop: Optional[int] = None) -> dict[int, tuple[int, Optional[int]]]:
+               stop: Optional[int] = None,
+               offset: Optional[Sequence[Optional[int]]] = None,
+               ) -> dict[int, tuple[int, Optional[int]]]:
     """BFS from ``source``; returns ``{reached vertex: (depth, parent)}``.
 
     It goes no deeper than ``cap`` hops, enters no vertex outside ``within``,
     crosses no (normalised) edge in ``blocked`` and returns on reaching
-    ``stop``.  Neighbours are scanned in ascending id order.  When
-    ``within`` is smaller than u's adjacency, u's scan runs over the members
-    of ``within`` adjacent to u instead, so it costs at most ``len(within)``.
+    ``stop``.  With ``offset`` (indexed by vertex id, and needing ``cap``)
+    it enters w at depth k only if offset[w] is not None and
+    offset[w] + k <= cap.  Neighbours are scanned in ascending id order.
+    When ``within`` is smaller than u's adjacency, u's scan runs over the
+    members of ``within`` adjacent to u instead, so it costs at most
+    ``len(within)``.
     """
     reached: dict[int, tuple[int, Optional[int]]] = {source: (0, None)}
     frontier = [source]
@@ -197,6 +202,7 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
     ordered: Optional[list[int]] = None  # ``within`` ascending, on first use
     while frontier and (cap is None or depth < cap):
         depth += 1
+        room = None if offset is None else cap - depth  # offset[w] <= room
         nxt = []
         for u in frontier:
             nbrs = adj[u]
@@ -206,7 +212,9 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
                 nbrs = tuple(w for w in ordered if g.has_edge(u, w))
             for w in nbrs:
                 if (w in reached or (within is not None and w not in within)
-                        or (blocked and norm_edge(u, w) in blocked)):
+                        or (blocked and norm_edge(u, w) in blocked)
+                        or (room is not None
+                            and (offset[w] is None or offset[w] > room))):
                     continue
                 reached[w] = (depth, u)
                 if w == stop:

@@ -94,7 +94,7 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
 
 
-def top_nodes(td: TreeDecomposition) -> dict[int, int]:
+def top_nodes(td: TreeDecomposition, universe: Container[int]) -> dict[int, int]:
     """Map every bag vertex to its top node: the node whose bag holds it
     while its parent's bag (if it has a parent) does not.
 
@@ -108,8 +108,9 @@ def top_nodes(td: TreeDecomposition) -> dict[int, int]:
     the path from the higher top to it passes through the deeper one.
 
     Raises InvalidDecomposition if a vertex has two top nodes, that is, if
-    the bags holding it do not form a subtree.  The tree itself was checked
-    when ``td`` was built.
+    the bags holding it do not form a subtree, or if a bag vertex lies
+    outside ``universe`` (the least such vertex is named).  The tree itself
+    was checked when ``td`` was built.
     """
     bag_sets = td.bag_sets
     top: dict[int, int] = {}
@@ -121,28 +122,25 @@ def top_nodes(td: TreeDecomposition) -> dict[int, int]:
                     raise InvalidDecomposition(
                         f"bags containing vertex {v} do not form a subtree")
                 top[v] = a
-    return top
-
-
-def scope_owners(td: TreeDecomposition, scopes: Iterable[Sequence[int]],
-                 universe: Container[int]) -> tuple[dict[int, int], list[int]]:
-    """The one rule by which a decomposition covers the edges of a
-    (hyper)graph over ``universe``: ``validate`` applies it to a graph's
-    edges, ``dp.solve_min_csp`` to its constraint scopes.
-
-    A scope's owner is the deepest top node of its vertices (``top_nodes``);
-    by the argument there it is the topmost node whose bag holds the whole
-    scope, if any bag does.  Returns the top-node map and each scope's
-    owner.  Raises InvalidDecomposition if the bags holding some vertex do
-    not form a subtree, a bag vertex lies outside ``universe``, or no bag
-    holds some scope.
-    """
-    top = top_nodes(td)
     stray = [v for v in top if v not in universe]
     if stray:
         v = min(stray)
         raise InvalidDecomposition(
             f"bag vertex {v} at node {top[v]} is not a vertex of the graph")
+    return top
+
+
+def scope_owners(td: TreeDecomposition, top: dict[int, int],
+                 scopes: Iterable[Sequence[int]]) -> list[int]:
+    """The one rule by which a decomposition covers the edges of a
+    (hyper)graph: ``validate`` applies it to a graph's edges,
+    ``dp.solve_min_csp`` to its constraint scopes.
+
+    A scope's owner is the deepest top node of its vertices (``top``, from
+    ``top_nodes(td, ...)``); by the argument there it is the topmost node
+    whose bag holds the whole scope, if any bag does.  Returns each scope's
+    owner.  Raises InvalidDecomposition if no bag holds some scope.
+    """
     # Distinct top nodes of equal depth mean that no bag holds the scope;
     # whichever the (depth, node) key picks then fails the bag check.
     depth = td.depth
@@ -159,19 +157,22 @@ def scope_owners(td: TreeDecomposition, scopes: Iterable[Sequence[int]],
             raise InvalidDecomposition(
                 f"edge ({','.join(map(str, scope))}) is covered by no bag")
         owners.append(a)
-    return top, owners
+    return owners
 
 
 def validate(td: TreeDecomposition, g: Graph) -> dict[int, int]:
-    """Check that td is a tree decomposition of g: every vertex of g is in
-    some bag, every bag vertex is a vertex of g, and ``scope_owners`` finds
-    an owner for every edge.  Raises InvalidDecomposition otherwise; the
-    tree itself was checked when ``td`` was built.  Returns the top-node
-    map (``top_nodes``) the check built, whose keys are then g's vertices."""
-    top, _ = scope_owners(td, g.edges, g.vertices)
+    """Check that td is a tree decomposition of g: every bag vertex is a
+    vertex of g, every vertex of g is in some bag, and ``scope_owners``
+    finds an owner for every edge, checked in that order.  The first
+    failure raises InvalidDecomposition; a bag vertex outside g, or a
+    vertex of g in no bag, is named by the least such id.  The tree itself
+    was checked when ``td`` was built.  Returns the top-node map
+    (``top_nodes``), whose keys are g's vertices."""
+    top = top_nodes(td, g.vertices)
     missing = g.vertices - top.keys()
     if missing:
         raise InvalidDecomposition(f"vertex {min(missing)} appears in no bag")
+    scope_owners(td, top, g.edges)
     return top
 
 

@@ -154,6 +154,16 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
+def grid_with_holes(rng: random.Random, rows: int, cols: int, holes: int,
+                    edge_keep: float = 0.9) -> Graph:
+    """A rows x cols grid without ``holes`` random vertices, keeping each
+    remaining edge with probability ``edge_keep``; ids stay grid positions."""
+    g = without_vertices(grid_graph(rows, cols),
+                         rng.sample(range(rows * cols), holes))
+    return without_edges(g, [e for e in sorted(g.edges)
+                             if rng.random() >= edge_keep])
+
+
 def fan_instance(k: int) -> Instance:
     """s = 0 and t = 1 adjacent to every vertex of the path 2..k+1, L = 2."""
     path = list(range(2, k + 2))

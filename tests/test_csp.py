@@ -12,8 +12,8 @@ from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
                    verify_cut)
 
 from conftest import (atlas_graphs, constraint_graph, grid_graph,
-                      random_graph, satisfies_all_hard, violated_soft_count,
-                      without_edges, without_vertices)
+                      random_csp, random_graph, satisfies_all_hard,
+                      violated_soft_count, without_edges, without_vertices)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -214,6 +214,30 @@ def test_encodings_share_one_relation_object_per_relation():
     assert len(q.soft) == g.m
     assert (len({id(c.allowed) for c in q.soft})
             == len({(q.domains[u], q.domains[v]) for u, v in g.edges}))
+
+
+def test_relation_index_keys_each_relation_and_domains_pair_once():
+    g = grid_graph(4, 4)
+    rng = random.Random(12)
+    for q in (encode_vertex_cut(Instance(g, 0, 15, 6, Variant.VERTEX)),
+              encode_edge_cut(Instance(g, 0, 15, 6, Variant.EDGE)),
+              *(random_csp(rng) for _ in range(30))):
+        cons = q.hard + q.soft
+        keys = [(c.allowed, tuple(q.domains[v] for v in c.scope))
+                for c in cons]
+        assert len(q.relation_index) == len(cons)
+        assert [q.relations[r] for r in q.relation_index] == keys
+        assert list(q.relations) == list(dict.fromkeys(keys))
+    # An equal relation built apart shares the index; other domains do not.
+    near = frozenset({(0, 1), (1, 0)})
+    q = CspInstance(4, ((0, 1), (0, 1), (0, 1), (0, 1, 2)),
+                    (Constraint((0, 1), near),),
+                    (Constraint((1, 2), near), Constraint((2, 3), near),
+                     Constraint((0, 2), frozenset({(1, 0), (0, 1)}))))
+    assert q.relation_index == (0, 0, 1, 0)
+    # Derived fields take no part in equality.
+    assert q == CspInstance(q.num_vars, q.domains, q.hard, q.soft)
+    assert hash(q) == hash(CspInstance(q.num_vars, q.domains, q.hard, q.soft))
 
 
 def _full_domain_encoding(inst):

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from lbcut import (Constraint, CspInstance, Graph, Instance,
                    Variant, brute_force_csp, brute_force_cut, build_heuristic,
                    encode_edge_cut, encode_vertex_cut, generate,
                    parse_instance, solve_exact_cut, solve_fpt, solve_min_csp)
-from lbcut.treedec import scope_owners
+from lbcut.treedec import scope_owners, top_nodes
 
 from conftest import (constraint_graph, random_csp, satisfied_by,
                       satisfies_all_hard, violated_soft_count)
@@ -94,8 +95,8 @@ def test_scope_owner_partition():
         td = TreeDecomposition(td.bags, td.tree_edges,
                                root=rng.randrange(td.n_nodes))
         cons = q.hard + q.soft
-        _, owners = scope_owners(td, [c.scope for c in cons],
-                                 range(q.num_vars))
+        owners = scope_owners(td, top_nodes(td, range(q.num_vars)),
+                              [c.scope for c in cons])
         assert len(owners) == len(cons)
         bag_sets = td.bag_sets
         for c, a in zip(cons, owners):
@@ -131,6 +132,30 @@ def test_dp_matches_enumeration_on_random_csps():
         assert violated_soft_count(q, got.assignment) == got.cost
         for v, x in enumerate(got.assignment):
             assert x in q.domains[v]
+
+
+def test_dp_rerooted_joins_eliminate_several_variables():
+    # Under every root, a child's bag can hold 0 to 3 variables its
+    # parent's lacks; a join eliminates them one axis at a time.
+    rng = random.Random(303)
+    eliminated = Counter()
+    for _ in range(40):
+        q = random_csp(rng, max_vars=8, max_dom=3)
+        want = brute_force_csp(q)
+        base = decomposition_for(q)
+        for root in range(base.n_nodes):
+            td = TreeDecomposition(base.bags, base.tree_edges, root=root)
+            for a, p in enumerate(td.parent):
+                if p is not None:
+                    eliminated[len(td.bag_sets[a] - td.bag_sets[p])] += 1
+            got = solve_min_csp(q, td)
+            if want is None:
+                assert got is None
+                continue
+            assert got.cost == want.cost
+            assert satisfies_all_hard(q, got.assignment)
+            assert violated_soft_count(q, got.assignment) == got.cost
+    assert {0, 1, 2, 3} <= eliminated.keys()
 
 
 def test_dp_empty_bag_disjoint_children_and_infeasible_child():

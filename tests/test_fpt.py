@@ -8,7 +8,7 @@ from lbcut import (Graph, Instance, UNKNOWN, Variant,
                    hop_distance, parse_instance, prune_to_relevant,
                    solve_exact_cut, solve_fpt)
 
-from conftest import atlas_graphs, grid_graph, subdivide
+from conftest import atlas_graphs, grid_graph, grid_with_holes, subdivide
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -178,6 +178,49 @@ def test_prune_distances_are_the_subgraphs_on_partial_3_trees():
             for L in (d, d + 1, d + 2):
                 assert _check_prune_distances(
                     Instance(g, s, t, L, Variant.EDGE))
+
+
+def _prune_reference(inst: Instance):
+    """(kept, d_s, d_t) from two full searches and the d_s + d_t <= L filter."""
+    ds = bfs_distances(inst.graph, inst.s)
+    dt = bfs_distances(inst.graph, inst.t)
+    kept = tuple(v for v in inst.graph.sorted_vertices()
+                 if ds[v] is not None and dt[v] is not None
+                 and ds[v] + dt[v] <= inst.L)
+    return kept, tuple(ds[v] for v in kept), tuple(dt[v] for v in kept)
+
+
+def test_prune_keeps_what_two_full_searches_keep():
+    # The search from t enters only the vertices it keeps; the reference
+    # searches the whole graph twice and filters.
+    rng = random.Random(31)
+    graphs = [grid_graph(rng.randint(2, 6), rng.randint(3, 7))
+              for _ in range(4)]
+    graphs += [grid_with_holes(rng, rng.randint(4, 7), rng.randint(4, 7),
+                               rng.randint(1, 6)) for _ in range(8)]
+    graphs += [parse_instance(generate("partial-ktree", [30, k, 0.6],
+                                       seed=seed))
+               for k in (2, 3, 4) for seed in range(2)]
+    empty = nonempty = 0
+    for g in graphs:
+        # Two isolated extra vertices: a t there is out of reach.
+        far = g.n
+        g = Graph(g.n + 2, g.vertices | {far, far + 1}, g.edges)
+        vertices = g.sorted_vertices()
+        diameter = max(d for v in vertices for d in bfs_distances(g, v)
+                       if d is not None)
+        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(3)]
+        pairs.append((vertices[0], far))
+        for s, t in pairs:
+            for L in range(1, 2 * diameter + 1):
+                inst = Instance(g, s, t, L, Variant.EDGE)
+                pr = prune_to_relevant(inst)
+                assert (pr.kept, pr.d_s, pr.d_t) == _prune_reference(inst)
+                if pr.kept:
+                    nonempty += 1
+                else:
+                    empty += 1
+    assert empty > 100 and nonempty > 100
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -55,6 +55,22 @@ def test_validate_missing_vertex_and_edge():
         validate(td3, PATH3)
 
 
+def test_validate_names_the_least_vertex_in_no_bag():
+    # The README's 3x3 grid example misses vertices 3 and 4; shifting
+    # every id up by one must name the same vertex, shifted.
+    grid = grid_graph(3, 3)
+    bags = ((0, 1, 2), (2, 5, 8), (6, 7, 8))
+    path = frozenset({(0, 1), (1, 2)})
+    for shift in (0, 1):
+        g = Graph(grid.n + shift, frozenset(v + shift for v in grid.vertices),
+                  frozenset((u + shift, v + shift) for u, v in grid.edges))
+        td = TreeDecomposition(
+            tuple(tuple(v + shift for v in bag) for bag in bags), path)
+        with pytest.raises(InvalidDecomposition,
+                           match=f"^vertex {3 + shift} appears in no bag$"):
+            validate(td, g)
+
+
 def test_validate_disconnected_occurrences():
     g = Graph.from_edges(3, [(0, 1)])
     td = TreeDecomposition(((0, 1), (2,), (0,)), frozenset({(0, 1), (1, 2)}))
