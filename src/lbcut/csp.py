@@ -12,22 +12,47 @@ hi = L+1 - min(d(v,t), L+1), where a terminal farther than L or out of
 reach counts as L+1 away, v's labels are min(lo, hi)..hi (and -1 in the
 vertex variant).  Nothing is lost: for any labeling z, the labeling
 min(max(z, lo), hi) on the kept vertices still has s at 0 and t at L+1,
-lies in these domains, and, because lo and hi change by at most 1 along an
+lies in these ranges, and, because lo and hi change by at most 1 along an
 edge, keeps every edge that z kept within 1; so it costs no more.  A vertex
 on no s-t path of length at most L (d(s,v) + d(v,t) > L) has one label
 besides -1.
+
+The ranges then lose every label that a hard constraint rules out once
+the terminals are pinned (node and arc consistency), so again no optimum
+is lost:
+
+- s has the one label 0 and t the one label L+1, in both variants; their
+  hard unary constraints stay.
+- In the vertex variant, a neighbour of s keeps -1 and its labels up to 1,
+  and a neighbour of t keeps -1 and its labels from L on: the hard edge
+  constraint to the pinned terminal allows no other.  For L >= 2 a common
+  neighbour of s and t keeps -1 alone.
+
+The DP's answers do not depend on these removals.  The constraint that
+rules a label out (the terminal's unary constraint, or the edge to the
+pinned terminal) holds its variable, so it is owned at or below that
+variable's top node and added before the variable is eliminated; every
+table entry the traceback reads is finite, so the removed label was never
+picked there.  The surviving labels keep their order, so every first
+minimum lands on the same label.
 
 A ``CspInstance`` keys its constraints by relation when it is built: each
 distinct (allowed tuples, scope domains) pair is listed once in
 ``relations``, and ``relation_index`` gives every constraint its pair's
 position there.  An encoding has thousands of constraints but few pairs
-(the edge constraints share one relation per pair of end domains), so each
-pair's tuples are checked once, and the DP builds one penalty array per
-pair and kind without rebuilding a domains key for every constraint.
+(the edge constraints share one relation per pair of end domains), so the
+work per constraint is a scope check and one lookup, keyed by the relation
+and the numbers of its scope's domains (each distinct domain is checked
+and numbered once).  Each pair's tuples are checked once: every member is a
+tuple of the scope's arity whose values lie in the domains.  The DP builds
+one penalty array per pair and kind.  A bare ``Constraint`` checks only
+its scope; it turns ``allowed`` into a frozenset of tuples unless it is a
+frozenset already, whose members it leaves to the instance's check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,13 +73,14 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "scope", tuple(self.scope))
-        if not (isinstance(self.allowed, frozenset)
-                and all(type(t) is tuple for t in self.allowed)):
+        # Encoders share one frozenset across thousands of constraints; its
+        # members are checked once per relation, by CspInstance.
+        if not isinstance(self.allowed, frozenset):
             object.__setattr__(self, "allowed",
                                frozenset(tuple(t) for t in self.allowed))
         if not self.scope:
             raise InvalidAssignment("constraint scope may not be empty")
-        if list(self.scope) != sorted(set(self.scope)):
+        if any(map(operator.ge, self.scope, self.scope[1:])):
             raise InvalidAssignment("constraint scope must be sorted and distinct")
 
 
@@ -65,9 +91,9 @@ class CspInstance:
     ``relations`` lists each distinct (allowed tuples, scope domains) pair
     once, in order of first use, and ``relation_index[i]`` is the position
     there of constraint i of ``hard + soft``.  Both are derived when the
-    instance is built and take no part in equality.  Each distinct pair's
-    tuples are checked against its domains once, and the DP builds one
-    penalty array per pair and kind.
+    instance is built and take no part in equality.  Each distinct domain
+    and each distinct pair is checked once, and the DP builds one penalty
+    array per pair and kind.
     """
 
     num_vars: int
@@ -81,35 +107,53 @@ class CspInstance:
                                             compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "domains",
-                           tuple(tuple(d) for d in self.domains))
+        domains = tuple(tuple(d) for d in self.domains)
+        object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "hard", tuple(self.hard))
         object.__setattr__(self, "soft", tuple(self.soft))
-        if len(self.domains) != self.num_vars:
+        if len(domains) != self.num_vars:
             raise InvalidAssignment("one domain required per variable")
-        for d in self.domains:
-            if list(d) != sorted(set(d)):
-                raise InvalidAssignment("domains must be sorted and duplicate-free")
-        index: dict = {}  # (relation, scope domains) -> its position
+        dom_id: dict = {}  # each distinct domain -> its number
+        ids = []  # each variable's domain number
+        for d in domains:
+            i = dom_id.get(d)
+            if i is None:
+                if list(d) != sorted(set(d)):
+                    raise InvalidAssignment(
+                        "domains must be sorted and duplicate-free")
+                i = dom_id[d] = len(dom_id)
+            ids.append(i)
+        index: dict = {}  # (relation, scope domain ids) -> its position
+        relations = []
         relation_index = []
         for c in self.hard + self.soft:
-            if c.scope[0] < 0 or c.scope[-1] >= self.num_vars:
-                raise InvalidAssignment(f"scope {c.scope} out of range")
-            doms = tuple(self.domains[v] for v in c.scope)
-            key = (c.allowed, doms)
+            scope = c.scope
+            if scope[0] < 0 or scope[-1] >= self.num_vars:
+                raise InvalidAssignment(f"scope {scope} out of range")
+            key = (c.allowed, tuple([ids[v] for v in scope]))
             r = index.get(key)
             if r is None:
-                r = index[key] = len(index)
-                for t in c.allowed:
-                    if len(t) != len(c.scope):
-                        raise InvalidAssignment("allowed tuple arity mismatch")
-                    for v, d, x in zip(c.scope, doms, t):
-                        if x not in d:
-                            raise InvalidAssignment(
-                                f"allowed value {x} outside domain of variable {v}")
+                r = index[key] = len(relations)
+                doms = tuple(domains[v] for v in scope)
+                _check_relation(c.allowed, scope, doms)
+                relations.append((c.allowed, doms))
             relation_index.append(r)
-        object.__setattr__(self, "relations", tuple(index))
+        object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "relation_index", tuple(relation_index))
+
+
+def _check_relation(allowed, scope, doms) -> None:
+    """Every allowed member is a tuple of the scope's arity whose values lie
+    in the scope's domains; the first failure names a variable of ``scope``."""
+    for t in allowed:
+        if type(t) is not tuple:
+            raise InvalidAssignment(f"allowed member {t!r} is not a tuple")
+        if len(t) != len(scope):
+            raise InvalidAssignment("allowed tuple arity mismatch")
+        for v, d, x in zip(scope, doms, t):
+            if x not in d:
+                raise InvalidAssignment(
+                    f"allowed value {x} outside domain of variable {v}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +164,8 @@ class CspSolution:
 
 def _label_ranges(inst: Instance,
                   distances: Optional[Distances] = None) -> list[tuple[int, int]]:
-    """Each vertex's (least, greatest) label, see the module docstring.
+    """Each vertex's (least, greatest) label, see the module docstring: s
+    has (0, 0) and t has (L+1, L+1).
 
     ``distances`` gives every vertex's hop distances from s and from t when
     the caller already has them; otherwise two L-capped searches find them.
@@ -136,6 +181,8 @@ def _label_ranges(inst: Instance,
         lo = L + 1 if a is None else a
         hi = 0 if b is None else L + 1 - b
         ranges.append((min(lo, hi), hi))
+    ranges[inst.s] = (0, 0)
+    ranges[inst.t] = (L + 1, L + 1)
     return ranges
 
 
@@ -143,15 +190,18 @@ def _edge_constraints(g: Graph, domains) -> list[Constraint]:
     """One constraint per edge: its end labels lie within 1 of each other
     unless one is -1 ("deleted", in vertex-variant domains only).  Edges with
     the same pair of end domains share one relation object."""
+    number: dict = {}  # each distinct domain -> its number
+    ids = [number.setdefault(d, len(number)) for d in domains]
     relations = {}
     out = []
     for u, v in sorted(g.edges):
-        key = (domains[u], domains[v])
-        if key not in relations:
-            relations[key] = frozenset(
-                (a, b) for a in key[0] for b in key[1]
+        key = (ids[u], ids[v])
+        rel = relations.get(key)
+        if rel is None:
+            rel = relations[key] = frozenset(
+                (a, b) for a in domains[u] for b in domains[v]
                 if a == -1 or b == -1 or abs(a - b) <= 1)
-        out.append(Constraint((u, v), relations[key]))
+        out.append(Constraint((u, v), rel))
     return out
 
 
@@ -178,21 +228,28 @@ def encode_vertex_cut(inst: Instance, *,
                       distances: Optional[Distances] = None) -> CspInstance:
     """Vertex-cut encoding: -1 wildcard on hard edge constraints, unary costs.
 
-    ``distances`` is as in ``encode_edge_cut``.
+    A neighbour of s keeps -1 and its labels up to 1, a neighbour of t -1
+    and its labels from L on (module docstring).  ``distances`` is as in
+    ``encode_edge_cut``.
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
-    L = inst.L
+    g, s, t, L = inst.graph, inst.s, inst.t, inst.L
+    ranges = _label_ranges(inst, distances)
+    for v in g.neighbors(s):
+        ranges[v] = (ranges[v][0], min(ranges[v][1], 1))
+    for v in g.neighbors(t):
+        ranges[v] = (max(ranges[v][0], L), ranges[v][1])
     domains = tuple(
-        (() if v in (inst.s, inst.t) else (-1,)) + tuple(range(lo, hi + 1))
-        for v, (lo, hi) in enumerate(_label_ranges(inst, distances)))
-    hard = [Constraint((inst.s,), frozenset({(0,)})),
-            Constraint((inst.t,), frozenset({(L + 1,)}))]
-    hard += _edge_constraints(inst.graph, domains)
+        (() if v in (s, t) else (-1,)) + tuple(range(lo, hi + 1))
+        for v, (lo, hi) in enumerate(ranges))
+    hard = [Constraint((s,), frozenset({(0,)})),
+            Constraint((t,), frozenset({(L + 1,)}))]
+    hard += _edge_constraints(g, domains)
     kept = {d: frozenset((x,) for x in d if x != -1) for d in set(domains)}
     soft = tuple(Constraint((v,), kept[domains[v]])
-                 for v in inst.graph.sorted_vertices() if v not in (inst.s, inst.t))
-    return CspInstance(inst.graph.n, domains, tuple(hard), soft)
+                 for v in g.sorted_vertices() if v not in (s, t))
+    return CspInstance(g.n, domains, tuple(hard), soft)
 
 
 def _check_labels(inst: Instance, z: Assignment) -> None:

@@ -165,14 +165,21 @@ def validate(td: TreeDecomposition, g: Graph) -> dict[int, int]:
     vertex of g, every vertex of g is in some bag, and ``scope_owners``
     finds an owner for every edge, checked in that order.  The first
     failure raises InvalidDecomposition; a bag vertex outside g, or a
-    vertex of g in no bag, is named by the least such id.  The tree itself
-    was checked when ``td`` was built.  Returns the top-node map
-    (``top_nodes``), whose keys are g's vertices."""
+    vertex of g in no bag, is named by the least such id, and an edge
+    covered by no bag by the least such edge.  The tree itself was checked
+    when ``td`` was built.  Returns the top-node map (``top_nodes``), whose
+    keys are g's vertices."""
     top = top_nodes(td, g.vertices)
     missing = g.vertices - top.keys()
     if missing:
         raise InvalidDecomposition(f"vertex {min(missing)} appears in no bag")
-    scope_owners(td, top, g.edges)
+    try:
+        scope_owners(td, top, g.edges)
+    except InvalidDecomposition:
+        # The edge set iterates in no fixed order; the sorted scan, run only
+        # on failure, raises at the least uncovered edge.
+        scope_owners(td, top, sorted(g.edges))
+        raise
     return top
 
 

@@ -5,15 +5,17 @@ from itertools import combinations, product
 import pytest
 
 from lbcut import (Constraint, CspInstance, CutSet, Graph, Instance,
-                   InvalidAssignment, InvalidCut, NoVertexCut, Variant,
-                   bfs_distances, brute_force_csp, brute_force_cut,
-                   build_heuristic, decode_edge, decode_vertex,
-                   encode_edge_cut, encode_vertex_cut, solve_min_csp,
-                   verify_cut)
+                   InvalidAssignment, InvalidCut, NoVertexCut,
+                   TreeDecomposition, Variant, bfs_distances,
+                   brute_force_csp, brute_force_cut, build_heuristic,
+                   decode_edge, decode_vertex, encode_edge_cut,
+                   encode_vertex_cut, generate, parse_instance,
+                   solve_min_csp, verify_cut)
 
 from conftest import (atlas_graphs, constraint_graph, grid_graph,
-                      random_csp, random_graph, satisfies_all_hard,
-                      violated_soft_count, without_edges, without_vertices)
+                      grid_with_holes, random_csp, random_graph,
+                      satisfies_all_hard, violated_soft_count, without_edges,
+                      without_vertices)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -24,7 +26,7 @@ def test_encode_edge_single_edge():
     g = Graph.from_edges(2, [(0, 1)])
     inst = Instance(g, 0, 1, 1, Variant.EDGE)
     q = encode_edge_cut(inst)
-    assert q.domains == ((0, 1), (1, 2))
+    assert q.domains == ((0,), (2,))
     assert brute_force_csp(q).cost == 1
 
 
@@ -51,6 +53,27 @@ def test_encode_vertex_costs():
     assert brute_force_csp(qp).cost == 0
     qc = encode_vertex_cut(Instance(C5, 0, 2, 3, Variant.VERTEX))
     assert brute_force_csp(qc).cost == 2
+
+
+def test_terminals_take_one_label_and_their_neighbours_few():
+    # 4x4 grid, s = 0 in one corner and t = 15 in the other, L = 6: the
+    # neighbours 1 and 4 of s have the ranges 1..2, those of t, 11 and 14,
+    # the ranges 5..6.
+    g = grid_graph(4, 4)
+    qe = encode_edge_cut(Instance(g, 0, 15, 6, Variant.EDGE))
+    assert (qe.domains[0], qe.domains[15]) == ((0,), (7,))
+    assert qe.domains[1] == qe.domains[4] == (1, 2)
+    assert qe.domains[11] == qe.domains[14] == (5, 6)
+    qv = encode_vertex_cut(Instance(g, 0, 15, 6, Variant.VERTEX))
+    assert (qv.domains[0], qv.domains[15]) == ((0,), (7,))
+    assert qv.domains[1] == qv.domains[4] == (-1, 1)
+    assert qv.domains[11] == qv.domains[14] == (-1, 6)
+    assert qv.domains[5] == (-1, 2, 3)  # no terminal neighbour
+    # A common neighbour of s and t must be deleted once L >= 2; at L = 1
+    # the path through it is too long to matter, and it keeps its label 1.
+    for L, want in ((1, (-1, 1)), (2, (-1,)), (3, (-1,))):
+        q = encode_vertex_cut(Instance(DIAMOND, 0, 3, L, Variant.VERTEX))
+        assert q.domains == ((0,), want, want, (L + 1,))
 
 
 def test_constraint_graph_equals_input_graph():
@@ -240,27 +263,30 @@ def test_relation_index_keys_each_relation_and_domains_pair_once():
     assert hash(q) == hash(CspInstance(q.num_vars, q.domains, q.hard, q.soft))
 
 
-def _full_domain_encoding(inst):
-    """Reference encoding in which every vertex takes every label 0..L+1,
-    plus -1 for "deleted" in the vertex variant."""
-    n, L = inst.graph.n, inst.L
-    base = tuple(range(L + 2))
+def _range_encoding(inst, ranges):
+    """Reference encoding in which vertex v takes the labels ranges[v], plus
+    -1 for "deleted" at every vertex but s and t in the vertex variant; only
+    the hard unary and edge constraints rule labels out."""
+    L, g = inst.L, inst.graph
+    vertex = inst.variant is Variant.VERTEX
+    domains = tuple(
+        ((-1,) if vertex and v not in (inst.s, inst.t) else ())
+        + tuple(range(lo, hi + 1)) for v, (lo, hi) in enumerate(ranges))
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
-    if inst.variant is Variant.EDGE:
-        near = frozenset((a, b) for a in base for b in base if abs(a - b) <= 1)
-        soft = [Constraint(e, near) for e in sorted(inst.graph.edges)]
-        return CspInstance(n, (base,) * n, hard, soft)
-    wild = (-1,) + base
-    domains = tuple(base if v in (inst.s, inst.t) else wild for v in range(n))
-    for u, v in sorted(inst.graph.edges):
-        hard.append(Constraint((u, v), frozenset(
-            (a, b) for a in domains[u] for b in domains[v]
-            if a == -1 or b == -1 or abs(a - b) <= 1)))
-    kept = frozenset((x,) for x in base)
-    soft = [Constraint((v,), kept) for v in inst.graph.sorted_vertices()
-            if v not in (inst.s, inst.t)]
-    return CspInstance(n, domains, hard, soft)
+    edges = [Constraint((u, v), frozenset(
+        (a, b) for a in domains[u] for b in domains[v]
+        if a == -1 or b == -1 or abs(a - b) <= 1)) for u, v in sorted(g.edges)]
+    if not vertex:
+        return CspInstance(g.n, domains, hard, edges)
+    soft = [Constraint((v,), frozenset((x,) for x in domains[v] if x != -1))
+            for v in g.sorted_vertices() if v not in (inst.s, inst.t)]
+    return CspInstance(g.n, domains, hard + edges, soft)
+
+
+def _full_domain_encoding(inst):
+    """Every vertex takes every label 0..L+1 (and -1, see _range_encoding)."""
+    return _range_encoding(inst, [(0, inst.L + 1)] * inst.graph.n)
 
 
 def _encode(inst):
@@ -365,6 +391,62 @@ def test_min_csp_cost_equals_min_cut_size_spotcheck():
             q = (encode_edge_cut if variant is Variant.EDGE
                  else encode_vertex_cut)(inst)
             assert brute_force_csp(q).cost == brute_force_cut(inst).size
+
+
+def test_tight_domains_solve_exactly_as_the_wide_ones():
+    # The wide encoding has the label ranges alone: the terminals keep
+    # their whole ranges and their neighbours every label.  Every label the
+    # tight encoding drops is infinite by the time the DP eliminates its
+    # variable, so under every root the DP returns the same assignment,
+    # hence the same cut.
+    rng = random.Random(418)
+    graphs = [grid_with_holes(rng, rng.randint(4, 6), rng.randint(4, 6),
+                              rng.randint(1, 4)) for _ in range(6)]
+    graphs += [parse_instance(generate("partial-ktree", [24, k, 0.7],
+                                       seed=k)) for k in (2, 3, 4)]
+    pinned = dropped = solves = 0
+    for g in graphs:
+        vertices = g.sorted_vertices()
+        base = build_heuristic(g)
+        for variant in Variant:
+            s, t = rng.sample(vertices, 2)
+            while variant is Variant.VERTEX and g.has_edge(s, t):
+                s, t = rng.sample(vertices, 2)
+            d = bfs_distances(g, s)[t]
+            for L in sorted({2, 3 if d is None else d + 1}):
+                inst = Instance(g, s, t, L, variant)
+                wide = _range_encoding(inst, _reference_ranges(inst))
+                tight = _encode(inst)
+                pinned += len(wide.domains[s]) > 1
+                dropped += sum(len(wide.domains[v]) - len(tight.domains[v])
+                               for v in vertices if v not in (s, t))
+                decode = (decode_edge if variant is Variant.EDGE
+                          else decode_vertex)
+                for root in range(base.n_nodes):
+                    td = TreeDecomposition(base.bags, base.tree_edges, root)
+                    want = solve_min_csp(wide, td)
+                    got = solve_min_csp(tight, td)
+                    assert got == want, (sorted(g.edges), s, t, L, variant,
+                                         root)
+                    assert (decode(inst, got.assignment).members
+                            == decode(inst, want.assignment).members)
+                    solves += 1
+    assert pinned and dropped and solves >= 700
+
+
+def test_csp_instance_checks_each_relation_it_holds():
+    # A bare Constraint leaves a frozenset's members alone; the instance
+    # that holds it checks them, once per relation.
+    with pytest.raises(InvalidAssignment, match="is not a tuple"):
+        CspInstance(1, ((0,),), (Constraint((0,), frozenset({0})),), ())
+    with pytest.raises(InvalidAssignment, match="arity mismatch"):
+        CspInstance(2, ((0,), (0,)), (),
+                    (Constraint((0, 1), frozenset({(0, 0), (0,)})),))
+    c = Constraint([0, 1], [[0, 1], [1, 0]])
+    assert c.scope == (0, 1)
+    assert c.allowed == frozenset({(0, 1), (1, 0)})
+    q = CspInstance(2, ((0, 1), (0, 1)), (), (c,))
+    assert q.relations == ((c.allowed, ((0, 1), (0, 1))),)
 
 
 def test_csp_instance_rejects_malformed_input():

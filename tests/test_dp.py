@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -71,11 +72,17 @@ def test_dp_rejects_non_tree():
 
 
 def test_dp_resource_budget():
+    # The budget caps the largest bag table: one entry short raises, the
+    # table's own size solves.
     inst = Instance(C5, 0, 2, 3, Variant.EDGE)
     q = encode_edge_cut(inst)
     td = build_heuristic(C5)
+    largest = max(math.prod(len(q.domains[v]) for v in bag)
+                  for bag in td.bags)
+    assert largest > 1
     with pytest.raises(ResourceExceeded):
-        solve_min_csp(q, td, table_budget=10)
+        solve_min_csp(q, td, table_budget=largest - 1)
+    assert solve_min_csp(q, td, table_budget=largest).cost == 2
 
 
 def test_dp_isolated_variable_gets_domain_minimum():

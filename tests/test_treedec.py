@@ -71,6 +71,21 @@ def test_validate_names_the_least_vertex_in_no_bag():
             validate(td, g)
 
 
+def test_validate_names_the_least_uncovered_edge():
+    # A 6-cycle whose bags {0,1,2} and {3,4,5} miss the edges (2,3) and
+    # (0,5); every shift of the ids must name (0,5), shifted.
+    for shift in range(4):
+        ids = range(shift, shift + 6)
+        edges = {(ids[i], ids[i + 1]) for i in range(5)} | {(ids[0], ids[5])}
+        g = Graph(shift + 6, frozenset(ids), frozenset(edges))
+        td = TreeDecomposition((tuple(ids[:3]), tuple(ids[3:])),
+                               frozenset({(0, 1)}))
+        with pytest.raises(
+                InvalidDecomposition,
+                match=rf"^edge \({shift},{shift + 5}\) is covered by no bag$"):
+            validate(td, g)
+
+
 def test_validate_disconnected_occurrences():
     g = Graph.from_edges(3, [(0, 1)])
     td = TreeDecomposition(((0, 1), (2,), (0,)), frozenset({(0, 1), (1, 2)}))
