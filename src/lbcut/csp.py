@@ -22,7 +22,8 @@ the terminals are pinned (node and arc consistency), so again no optimum
 is lost:
 
 - s has the one label 0 and t the one label L+1, in both variants; their
-  hard unary constraints stay.
+  unary constraints then hold every label left and are not emitted (see
+  below).
 - In the vertex variant, a neighbour of s keeps -1 and its labels up to 1,
   and a neighbour of t keeps -1 and its labels from L on: the hard edge
   constraint to the pinned terminal allows no other.  For L >= 2 a common
@@ -36,6 +37,16 @@ table entry the traceback reads is finite, so the removed label was never
 picked there.  The surviving labels keep their order, so every first
 minimum lands on the same label.
 
+Once the domains are cut, no constraint is emitted that every tuple over
+its scope's domains satisfies: not the terminals' unary constraints, whose
+domains are already (0,) and (L+1,), nor an edge constraint whose relation
+holds every pair of its end domains (every vertex-variant edge at a
+terminal, and edges whose end labels all lie within 1).  Such a constraint
+adds 0 to every table entry, soft or hard, and inf to none, so every
+table, every first minimum and the traceback are the same bit for bit
+without it.  The decomposition is still built on the graph, so the bags
+and table shapes do not change either.
+
 A ``CspInstance`` keys its constraints by relation when it is built: each
 distinct (allowed tuples, scope domains) pair is listed once in
 ``relations``, and ``relation_index`` gives every constraint its pair's
@@ -43,17 +54,27 @@ position there.  An encoding has thousands of constraints but few pairs
 (the edge constraints share one relation per pair of end domains), so the
 work per constraint is a scope check and one lookup, keyed by the relation
 and the numbers of its scope's domains (each distinct domain is checked
-and numbered once).  Each pair's tuples are checked once: every member is a
-tuple of the scope's arity whose values lie in the domains.  The DP builds
-one penalty array per pair and kind.  A bare ``Constraint`` checks only
-its scope; it turns ``allowed`` into a frozenset of tuples unless it is a
-frozenset already, whose members it leaves to the instance's check.
+and numbered once).  Each pair's tuples are checked: every member is a
+tuple of the scope's arity whose values lie in the domains.  A bare
+``Constraint`` checks only its scope; it turns ``allowed`` into a frozenset
+of tuples unless it is a frozenset already, whose members it leaves to the
+instance's check.
+
+Three loops over a relation's tuples run once per process, not once per
+encoding: building an edge relation (keyed by its two end domains), the
+vertex variant's unary "kept" relation (keyed by its domain), and the
+instance's tuple check (keyed by the relation and its scope's domains; the
+variable a failure names is taken from each constraint's own scope).  Each
+is a ``functools.lru_cache`` of at most 512 entries; for the cut
+encodings an entry holds at most (L+3)**2 pairs, and a benchmark pass
+meets 89 (grids) to 137 (partial k-trees) distinct relations.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InvalidAssignment
@@ -92,8 +113,9 @@ class CspInstance:
     once, in order of first use, and ``relation_index[i]`` is the position
     there of constraint i of ``hard + soft``.  Both are derived when the
     instance is built and take no part in equality.  Each distinct domain
-    and each distinct pair is checked once, and the DP builds one penalty
-    array per pair and kind.
+    is checked once per instance, each distinct pair once per process (a
+    cache, see the module docstring), and the DP builds one penalty array
+    per pair and kind.
     """
 
     num_vars: int
@@ -135,25 +157,32 @@ class CspInstance:
             if r is None:
                 r = index[key] = len(relations)
                 doms = tuple(domains[v] for v in scope)
-                _check_relation(c.allowed, scope, doms)
+                fault = _relation_fault(c.allowed, doms)
+                if fault is not None:
+                    message, i = fault
+                    raise InvalidAssignment(
+                        message if i is None else f"{message}{scope[i]}")
                 relations.append((c.allowed, doms))
             relation_index.append(r)
         object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "relation_index", tuple(relation_index))
 
 
-def _check_relation(allowed, scope, doms) -> None:
-    """Every allowed member is a tuple of the scope's arity whose values lie
-    in the scope's domains; the first failure names a variable of ``scope``."""
+@lru_cache(maxsize=512)
+def _relation_fault(allowed, doms) -> Optional[tuple[str, Optional[int]]]:
+    """The first fault of a relation over the scope domains ``doms``, or
+    None: every member must be a tuple of the scope's arity whose values
+    lie in the domains.  A fault is (message, None), or (message, i) when
+    the message ends by naming the variable at scope position i."""
     for t in allowed:
         if type(t) is not tuple:
-            raise InvalidAssignment(f"allowed member {t!r} is not a tuple")
-        if len(t) != len(scope):
-            raise InvalidAssignment("allowed tuple arity mismatch")
-        for v, d, x in zip(scope, doms, t):
+            return f"allowed member {t!r} is not a tuple", None
+        if len(t) != len(doms):
+            return "allowed tuple arity mismatch", None
+        for i, (d, x) in enumerate(zip(doms, t)):
             if x not in d:
-                raise InvalidAssignment(
-                    f"allowed value {x} outside domain of variable {v}")
+                return f"allowed value {x} outside domain of variable ", i
+    return None
 
 
 @dataclass(frozen=True)
@@ -186,22 +215,32 @@ def _label_ranges(inst: Instance,
     return ranges
 
 
+@lru_cache(maxsize=512)
+def _near(du: tuple[int, ...],
+          dv: tuple[int, ...]) -> Optional[frozenset[tuple[int, int]]]:
+    """The edge relation over end domains du and dv: the labels lie within
+    1 of each other unless one is -1 ("deleted", in vertex-variant domains
+    only).  None when it holds every pair of the two domains."""
+    rel = frozenset((a, b) for a in du for b in dv
+                    if a == -1 or b == -1 or abs(a - b) <= 1)
+    return None if len(rel) == len(du) * len(dv) else rel
+
+
+@lru_cache(maxsize=512)
+def _kept(d: tuple[int, ...]) -> frozenset[tuple[int]]:
+    """The vertex variant's unary relation over domain d: not deleted."""
+    return frozenset((x,) for x in d if x != -1)
+
+
 def _edge_constraints(g: Graph, domains) -> list[Constraint]:
-    """One constraint per edge: its end labels lie within 1 of each other
-    unless one is -1 ("deleted", in vertex-variant domains only).  Edges with
-    the same pair of end domains share one relation object."""
-    number: dict = {}  # each distinct domain -> its number
-    ids = [number.setdefault(d, len(number)) for d in domains]
-    relations = {}
+    """One constraint per edge whose relation (``_near``) rules some pair of
+    its end labels out.  Edges with the same pair of end domains share the
+    cached relation object."""
     out = []
     for u, v in sorted(g.edges):
-        key = (ids[u], ids[v])
-        rel = relations.get(key)
-        if rel is None:
-            rel = relations[key] = frozenset(
-                (a, b) for a in domains[u] for b in domains[v]
-                if a == -1 or b == -1 or abs(a - b) <= 1)
-        out.append(Constraint((u, v), rel))
+        rel = _near(domains[u], domains[v])
+        if rel is not None:
+            out.append(Constraint((u, v), rel))
     return out
 
 
@@ -209,19 +248,18 @@ def encode_edge_cut(inst: Instance, *,
                     distances: Optional[Distances] = None) -> CspInstance:
     """Edge-cut encoding: soft near-constraints on edges, cost = cut size.
 
-    ``distances``, when given, must be the instance graph's hop distances
-    from s and t capped at L (``fpt.prune_to_relevant`` has them); they set
-    the label domains.
+    The domains pin s and t, so no unary constraint is emitted, nor any
+    edge constraint that every pair of its end labels satisfies (module
+    docstring).  ``distances``, when given, must be the instance graph's
+    hop distances from s and t capped at L (``fpt.prune_to_relevant`` has
+    them); they set the label domains.
     """
     if inst.variant is not Variant.EDGE:
         raise ValueError("encode_edge_cut requires an edge-cut instance")
-    L = inst.L
     domains = tuple(tuple(range(lo, hi + 1))
                     for lo, hi in _label_ranges(inst, distances))
-    hard = (Constraint((inst.s,), frozenset({(0,)})),
-            Constraint((inst.t,), frozenset({(L + 1,)})))
     soft = _edge_constraints(inst.graph, domains)
-    return CspInstance(inst.graph.n, domains, hard, tuple(soft))
+    return CspInstance(inst.graph.n, domains, (), tuple(soft))
 
 
 def encode_vertex_cut(inst: Instance, *,
@@ -229,8 +267,8 @@ def encode_vertex_cut(inst: Instance, *,
     """Vertex-cut encoding: -1 wildcard on hard edge constraints, unary costs.
 
     A neighbour of s keeps -1 and its labels up to 1, a neighbour of t -1
-    and its labels from L on (module docstring).  ``distances`` is as in
-    ``encode_edge_cut``.
+    and its labels from L on, so no edge at a terminal is emitted (module
+    docstring).  ``distances`` is as in ``encode_edge_cut``.
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
@@ -243,11 +281,8 @@ def encode_vertex_cut(inst: Instance, *,
     domains = tuple(
         (() if v in (s, t) else (-1,)) + tuple(range(lo, hi + 1))
         for v, (lo, hi) in enumerate(ranges))
-    hard = [Constraint((s,), frozenset({(0,)})),
-            Constraint((t,), frozenset({(L + 1,)}))]
-    hard += _edge_constraints(g, domains)
-    kept = {d: frozenset((x,) for x in d if x != -1) for d in set(domains)}
-    soft = tuple(Constraint((v,), kept[domains[v]])
+    hard = _edge_constraints(g, domains)
+    soft = tuple(Constraint((v,), _kept(domains[v]))
                  for v in g.sorted_vertices() if v not in (s, t))
     return CspInstance(g.n, domains, tuple(hard), soft)
 

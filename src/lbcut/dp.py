@@ -9,17 +9,20 @@ checked when the TreeDecomposition is built.  Bottom-up over the rooted tree,
 each node's table is one numpy array with an axis per bag variable, in bag
 order, sized by that variable's domain.  Each owned constraint adds its
 penalty array over its scope, broadcast across the bag: 0 where allowed, 1
-where a soft constraint is violated, inf where a hard one is; one array is
-built per relation of ``CspInstance.relations`` and kind.  A child is
-folded in by eliminating the variables its parent lacks, one axis at a
-time, last axis first (bucket elimination): ``argmin`` and ``min`` over
-that axis.  Each elimination keeps its own back-pointer (the variable, the
-variables still on the axes, the argmin array), and a child whose bag lies
-inside its parent's is added unreduced.  The root is reduced the same way
-down to the optimum.  Eliminating the last axis first picks, in C order,
-the first minimum of the flattened child-only axes.  A top-down pass over
-the back-pointers sets one variable per back-pointer and rebuilds one
-optimal assignment.
+where a soft constraint is violated, inf where a hard one is.  A solve looks
+one array up per relation of ``CspInstance.relations`` and kind, and the
+loop that fills it runs once per process: ``_penalty`` is a
+``functools.lru_cache`` of at most 512 read-only arrays, keyed by (allowed
+tuples, scope domains, hard).  For the cut encodings an array holds at most
+(L+3)**2 floats.  A child is folded in by eliminating the variables its
+parent lacks, one axis at a time, last axis first (bucket elimination):
+``argmin`` and ``min`` over that axis.  Each elimination keeps its own
+back-pointer (the variable, the variables still on the axes, the argmin
+array), and a child whose bag lies inside its parent's is added unreduced.
+The root is reduced the same way down to the optimum.  Eliminating the
+last axis first picks, in C order, the first minimum of the flattened
+child-only axes.  A top-down pass over the back-pointers sets one variable
+per back-pointer and rebuilds one optimal assignment.
 
 ``table_budget`` caps the entry count of any one bag's table: a bag over it
 aborts with ResourceExceeded before its table is allocated.
@@ -28,6 +31,7 @@ aborts with ResourceExceeded before its table is allocated.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import AbstractSet, Optional
 
 import numpy as np
@@ -43,14 +47,16 @@ from .treedec import (TreeDecomposition, build_heuristic, scope_owners,
 TABLE_BUDGET = 1 << 26
 
 
-def _penalty(q: CspInstance, relation: int, hard: bool) -> np.ndarray:
-    """Cost over a relation's domain positions (``q.relations``): 0 where
-    allowed, else 1 (soft) or inf (hard)."""
-    allowed, doms = q.relations[relation]
+@lru_cache(maxsize=512)
+def _penalty(allowed, doms, hard: bool) -> np.ndarray:
+    """Cost over the positions of a relation's scope domains ``doms``: 0
+    where allowed, else 1 (soft) or inf (hard).  Read-only, as it is shared
+    by every solve that meets the relation."""
     pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
     pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
     for t in allowed:
         pen[tuple(p[x] for p, x in zip(pos_of, t))] = 0.0
+    pen.flags.writeable = False
     return pen
 
 
@@ -105,7 +111,8 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
         for scope, key in owned[a]:
             pen = penalties.get(key)
             if pen is None:
-                pen = penalties[key] = _penalty(q, *key)
+                r, hard = key
+                pen = penalties[key] = _penalty(*q.relations[r], hard)
             terms.append((pen, scope))
         for ch in td.children[a]:
             terms.append(_eliminate(costs.pop(ch), td.bags[ch],

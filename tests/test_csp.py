@@ -76,13 +76,32 @@ def test_terminals_take_one_label_and_their_neighbours_few():
         assert q.domains == ((0,), want, want, (L + 1,))
 
 
+def _near(du, dv):
+    """The edge relation over end domains du and dv, built here apart from
+    the encoders."""
+    return frozenset((a, b) for a in du for b in dv
+                     if a == -1 or b == -1 or abs(a - b) <= 1)
+
+
+def _is_full(q, u, v):
+    """Whether the edge relation holds every pair of u's and v's labels."""
+    du, dv = q.domains[u], q.domains[v]
+    return len(_near(du, dv)) == len(du) * len(dv)
+
+
 def test_constraint_graph_equals_input_graph():
+    # ... less the edges whose relation every label pair satisfies: the
+    # encoders leave those constraints out.  On C5 at L=2 the vertices 3 and
+    # 4 lie on no short path, so the three edges at them are left out.
     for inst in (Instance(PATH4, 0, 3, 3, Variant.EDGE),
                  Instance(C5, 0, 2, 2, Variant.EDGE)):
         q = encode_edge_cut(inst)
-        assert constraint_graph(q).edges == inst.graph.edges
+        assert constraint_graph(q).edges == {
+            e for e in inst.graph.edges if not _is_full(q, *e)}
+    assert constraint_graph(q).edges == {(0, 1), (1, 2)}
     qv = encode_vertex_cut(Instance(C5, 0, 2, 3, Variant.VERTEX))
-    assert constraint_graph(qv).edges == C5.edges
+    assert constraint_graph(qv).edges == {
+        e for e in C5.edges if not _is_full(qv, *e)}
 
 
 def test_decode_edge_examples():
@@ -224,19 +243,97 @@ def test_cut_to_assignment_matches_labels_of_the_cut_graph():
 
 
 def test_encodings_share_one_relation_object_per_relation():
+    # One constraint per edge whose relation some label pair violates; the
+    # edges at a vertex-variant terminal are not among them.
     g = grid_graph(4, 4)
     q = encode_vertex_cut(Instance(g, 0, 15, 6, Variant.VERTEX))
+    edges = [e for e in g.edges if not _is_full(q, *e)]
+    assert len(edges) == g.m - 4
     edge_hard = [c for c in q.hard if len(c.scope) == 2]
-    assert len(edge_hard) == g.m
+    assert len(edge_hard) == len(q.hard) == len(edges)
     assert (len({id(c.allowed) for c in edge_hard})
-            == len({(q.domains[u], q.domains[v]) for u, v in g.edges}))
+            == len({(q.domains[u], q.domains[v]) for u, v in edges}))
     assert len(q.soft) == g.n - 2
     assert (len({id(c.allowed) for c in q.soft})
             == len({q.domains[c.scope[0]] for c in q.soft}))
     q = encode_edge_cut(Instance(g, 0, 15, 6, Variant.EDGE))
-    assert len(q.soft) == g.m
+    edges = [e for e in g.edges if not _is_full(q, *e)]
+    assert len(q.soft) == len(edges) and not q.hard
     assert (len({id(c.allowed) for c in q.soft})
-            == len({(q.domains[u], q.domains[v]) for u, v in g.edges}))
+            == len({(q.domains[u], q.domains[v]) for u, v in edges}))
+
+
+def _grids_and_ktrees(rng):
+    """Seeded grids with holes and partial k-trees."""
+    graphs = [grid_with_holes(rng, rng.randint(4, 6), rng.randint(4, 6),
+                              rng.randint(1, 4)) for _ in range(6)]
+    return graphs + [parse_instance(generate("partial-ktree", [24, k, 0.7],
+                                             seed=k)) for k in (2, 3, 4)]
+
+
+def _instances(rng, g):
+    """Both variants of a random terminal pair of g, at L = 2 and at one
+    more than the pair's distance."""
+    vertices = g.sorted_vertices()
+    for variant in Variant:
+        s, t = rng.sample(vertices, 2)
+        while variant is Variant.VERTEX and g.has_edge(s, t):
+            s, t = rng.sample(vertices, 2)
+        d = bfs_distances(g, s)[t]
+        for L in sorted({2, 3 if d is None else d + 1}):
+            yield Instance(g, s, t, L, variant)
+
+
+def test_encoders_emit_no_vacuous_constraint():
+    # Every constraint rules some tuple of its scope's labels out, and each
+    # edge whose relation does so has its constraint.
+    rng = random.Random(2001)
+    dropped = kept = 0
+    for g in _grids_and_ktrees(rng):
+        for inst in _instances(rng, g):
+            q = _encode(inst)
+            for c in q.hard + q.soft:
+                assert len(c.allowed) < math.prod(len(q.domains[v])
+                                                  for v in c.scope)
+            edges = {c.scope for c in q.hard + q.soft if len(c.scope) == 2}
+            assert edges == {e for e in g.edges if not _is_full(q, *e)}
+            unary = {c.scope[0] for c in q.hard + q.soft if len(c.scope) == 1}
+            assert unary == ((g.vertices - {inst.s, inst.t})
+                             if inst.variant is Variant.VERTEX else set())
+            dropped += g.m - len(edges)
+            kept += len(edges)
+    assert dropped and kept
+
+
+def test_vacuous_constraints_change_no_solve():
+    # The encoding with the terminal pins and every full edge constraint put
+    # back adds 0 to every table entry the encoders' does not, so under
+    # every root the DP returns the same cost and the same assignment.
+    rng = random.Random(2002)
+    solves = 0
+    for g in _grids_and_ktrees(rng):
+        base = build_heuristic(g)
+        for inst in _instances(rng, g):
+            q = _encode(inst)
+            padded = _encoding_over(inst, q.domains)
+            assert len(padded.hard + padded.soft) > len(q.hard + q.soft)
+            for root in range(base.n_nodes):
+                td = TreeDecomposition(base.bags, base.tree_edges, root)
+                assert solve_min_csp(q, td) == solve_min_csp(padded, td), (
+                    sorted(g.edges), inst.s, inst.t, inst.L, inst.variant,
+                    root)
+                solves += 1
+    assert solves >= 700
+
+
+def test_one_bad_relation_names_the_variable_of_each_scope():
+    # Value 5 lies outside the second variable's domain, on either scope.
+    bad = frozenset({(0, 5)})
+    for scope in ((2, 3), (4, 7)):
+        with pytest.raises(InvalidAssignment,
+                           match=f"value 5 outside domain of variable "
+                                 f"{scope[1]}$"):
+            CspInstance(8, ((0,),) * 8, (Constraint(scope, bad),), ())
 
 
 def test_relation_index_keys_each_relation_and_domains_pair_once():
@@ -267,17 +364,22 @@ def _range_encoding(inst, ranges):
     """Reference encoding in which vertex v takes the labels ranges[v], plus
     -1 for "deleted" at every vertex but s and t in the vertex variant; only
     the hard unary and edge constraints rule labels out."""
-    L, g = inst.L, inst.graph
     vertex = inst.variant is Variant.VERTEX
-    domains = tuple(
+    return _encoding_over(inst, tuple(
         ((-1,) if vertex and v not in (inst.s, inst.t) else ())
-        + tuple(range(lo, hi + 1)) for v, (lo, hi) in enumerate(ranges))
+        + tuple(range(lo, hi + 1)) for v, (lo, hi) in enumerate(ranges)))
+
+
+def _encoding_over(inst, domains):
+    """Reference encoding over the given domains with every constraint: the
+    terminals' hard unary pins and one constraint per edge, vacuous or not
+    (and the unit costs of deletion in the vertex variant)."""
+    L, g = inst.L, inst.graph
     hard = [Constraint((inst.s,), frozenset({(0,)})),
             Constraint((inst.t,), frozenset({(L + 1,)}))]
-    edges = [Constraint((u, v), frozenset(
-        (a, b) for a in domains[u] for b in domains[v]
-        if a == -1 or b == -1 or abs(a - b) <= 1)) for u, v in sorted(g.edges)]
-    if not vertex:
+    edges = [Constraint((u, v), _near(domains[u], domains[v]))
+             for u, v in sorted(g.edges)]
+    if inst.variant is Variant.EDGE:
         return CspInstance(g.n, domains, hard, edges)
     soft = [Constraint((v,), frozenset((x,) for x in domains[v] if x != -1))
             for v in g.sorted_vertices() if v not in (inst.s, inst.t)]
@@ -400,37 +502,27 @@ def test_tight_domains_solve_exactly_as_the_wide_ones():
     # variable, so under every root the DP returns the same assignment,
     # hence the same cut.
     rng = random.Random(418)
-    graphs = [grid_with_holes(rng, rng.randint(4, 6), rng.randint(4, 6),
-                              rng.randint(1, 4)) for _ in range(6)]
-    graphs += [parse_instance(generate("partial-ktree", [24, k, 0.7],
-                                       seed=k)) for k in (2, 3, 4)]
     pinned = dropped = solves = 0
-    for g in graphs:
-        vertices = g.sorted_vertices()
+    for g in _grids_and_ktrees(rng):
         base = build_heuristic(g)
-        for variant in Variant:
-            s, t = rng.sample(vertices, 2)
-            while variant is Variant.VERTEX and g.has_edge(s, t):
-                s, t = rng.sample(vertices, 2)
-            d = bfs_distances(g, s)[t]
-            for L in sorted({2, 3 if d is None else d + 1}):
-                inst = Instance(g, s, t, L, variant)
-                wide = _range_encoding(inst, _reference_ranges(inst))
-                tight = _encode(inst)
-                pinned += len(wide.domains[s]) > 1
-                dropped += sum(len(wide.domains[v]) - len(tight.domains[v])
-                               for v in vertices if v not in (s, t))
-                decode = (decode_edge if variant is Variant.EDGE
-                          else decode_vertex)
-                for root in range(base.n_nodes):
-                    td = TreeDecomposition(base.bags, base.tree_edges, root)
-                    want = solve_min_csp(wide, td)
-                    got = solve_min_csp(tight, td)
-                    assert got == want, (sorted(g.edges), s, t, L, variant,
-                                         root)
-                    assert (decode(inst, got.assignment).members
-                            == decode(inst, want.assignment).members)
-                    solves += 1
+        for inst in _instances(rng, g):
+            s, t = inst.s, inst.t
+            wide = _range_encoding(inst, _reference_ranges(inst))
+            tight = _encode(inst)
+            pinned += len(wide.domains[s]) > 1
+            dropped += sum(len(wide.domains[v]) - len(tight.domains[v])
+                           for v in g.vertices if v not in (s, t))
+            decode = (decode_edge if inst.variant is Variant.EDGE
+                      else decode_vertex)
+            for root in range(base.n_nodes):
+                td = TreeDecomposition(base.bags, base.tree_edges, root)
+                want = solve_min_csp(wide, td)
+                got = solve_min_csp(tight, td)
+                assert got == want, (sorted(g.edges), s, t, inst.L,
+                                     inst.variant, root)
+                assert (decode(inst, got.assignment).members
+                        == decode(inst, want.assignment).members)
+                solves += 1
     assert pinned and dropped and solves >= 700
 
 

@@ -10,6 +10,7 @@ from lbcut import (Constraint, CspInstance, Graph, Instance,
                    Variant, brute_force_csp, brute_force_cut, build_heuristic,
                    encode_edge_cut, encode_vertex_cut, generate,
                    parse_instance, solve_exact_cut, solve_fpt, solve_min_csp)
+from lbcut import dp
 from lbcut.treedec import scope_owners, top_nodes
 
 from conftest import (constraint_graph, random_csp, satisfied_by,
@@ -54,6 +55,34 @@ def test_dp_scope_not_covered():
         q = CspInstance(2, domains, (Constraint((0, 1), allowed),), ())
         with pytest.raises(InvalidDecomposition, match="covered by no bag"):
             solve_min_csp(q, td)
+
+
+def test_one_relation_as_hard_and_soft_solves_as_brute_force():
+    # The equality relation binds x0 = x1 as a hard constraint and costs 1
+    # on (x1, x2) as a soft one, which x1 != x2 always violates.  Its two
+    # penalty arrays differ: read as hard on both scopes the CSP has no
+    # solution, read as soft on both its optimum is 2, not 3.
+    equal = frozenset({(0, 0), (1, 1)})
+    zero, one = frozenset({(0,)}), frozenset({(1,)})
+    q = CspInstance(3, ((0, 1),) * 3,
+                    (Constraint((0, 1), equal),
+                     Constraint((1, 2), frozenset({(0, 1), (1, 0)}))),
+                    (Constraint((1, 2), equal),
+                     Constraint((0,), zero), Constraint((0,), zero),
+                     Constraint((1,), one), Constraint((1,), one)))
+    assert len(q.relations) == 4
+    td = TreeDecomposition(((0, 1, 2),), frozenset())
+    assert solve_min_csp(q, td).cost == brute_force_csp(q).cost == 3
+
+
+def test_cached_penalty_arrays_refuse_writes():
+    q = encode_edge_cut(Instance(PATH4, 0, 3, 3, Variant.EDGE))
+    allowed, doms = q.relations[0]
+    for hard in (False, True):
+        pen = dp._penalty(allowed, doms, hard)
+        assert pen is dp._penalty(allowed, doms, hard)
+        with pytest.raises(ValueError, match="read-only"):
+            pen[0, 0] = 7.0
 
 
 def test_dp_rejects_non_tree():
