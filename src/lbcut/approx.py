@@ -33,17 +33,18 @@ steps, and each node tests negative once.  A test is a depth-capped BFS
 built, and the search scans only members of that set, so a test costs the
 set's size and its edges even where s has many deleted neighbours.
 
-Interval index (``LiveSubtrees``).  The live subtree sets are never stored.
+Interval index (``LiveSubtrees``).  No union of a subtree's bags is stored.
 A vertex v lies in the subtree set of node b exactly when v is in B(b) or
 top[v], the highest node whose bag holds v (``treedec.top_nodes``), lies in
 b's subtree: the nodes holding v form a subtree below top[v], so if top[v]
 is outside b's subtree and some node below b holds v, the tree path from
-top[v] down to that node passes through b.  Listing the bag vertices by
-the depth-first preorder position of their top node makes the vertices of
-the second kind one contiguous slice per node, and a skip pointer per entry
-("next live", a union-find with path compression) steps over deleted ones.
-A live subtree set is then b's live bag plus the live part of b's slice,
-and building it costs about its own size.
+top[v] down to that node passes through b.  Listing the live vertices by
+the depth-first preorder position of their top node, in one list with
+their keys in a parallel one, makes the vertices of the second kind one
+contiguous slice per node, found by bisecting the keys.  A live subtree set
+is then b's live bag plus b's slice, and building it costs about its own
+size; a deletion finds the vertex from its key and removes it from both
+lists, a memmove of the entries after it.
 
 No split case.  If b's live bag were {s, t}, a short path in its subtree
 would have internal vertices (s and t are not adjacent) outside B(b).  By
@@ -91,14 +92,14 @@ class LiveSubtrees:
 
     ``top`` is the decomposition's top-node map; its keys start out alive.
     Node a's subtree holds the preorder positions ``pre[a]`` to
-    ``pre[a] + size[a] - 1``; ``entries`` lists the bag vertices ascending
-    by ``keys``, the positions of their top nodes, and ``skip[i]`` leads to
-    the first live entry at or after i (``len(entries)`` if there is none).
+    ``pre[a] + size[a] - 1``; ``verts`` lists the live vertices ascending
+    by ``keys``, the positions of their top nodes.
     """
 
     def __init__(self, td: TreeDecomposition, top: dict[int, int]):
         self.alive = set(top)
         self._bag_sets = td.bag_sets
+        self._top = top
         self._pre = pre = [0] * td.n_nodes
         stack, n_seen = [td.root], 0
         while stack:
@@ -109,35 +110,22 @@ class LiveSubtrees:
         for a in reversed(td.order):
             if td.parent[a] is not None:
                 size[td.parent[a]] += size[a]
-        self._entries = sorted(top, key=lambda v: pre[top[v]])
-        self._keys = [pre[top[v]] for v in self._entries]
-        self._pos = {v: i for i, v in enumerate(self._entries)}
-        self._skip = list(range(len(self._entries) + 1))
-
-    def _next_live(self, i: int) -> int:
-        skip = self._skip
-        j = i
-        while skip[j] != j:
-            j = skip[j]
-        while skip[i] != j:
-            skip[i], i = j, skip[i]
-        return j
+        self._verts = sorted(top, key=lambda v: pre[top[v]])
+        self._keys = [pre[top[v]] for v in self._verts]
 
     def delete(self, vertices) -> None:
+        verts, keys, pre, top = self._verts, self._keys, self._pre, self._top
         for v in vertices:
             self.alive.remove(v)
-            i = self._pos[v]
-            self._skip[i] = i + 1
+            i = verts.index(v, bisect_left(keys, pre[top[v]]))
+            del verts[i], keys[i]
 
     def __getitem__(self, a: int) -> set[int]:
         """The live subtree set of node a: a fresh set."""
         live = self.alive.intersection(self._bag_sets[a])
-        entries, first = self._entries, self._pre[a]
-        hi = bisect_left(self._keys, first + self._size[a])
-        i = self._next_live(bisect_left(self._keys, first))
-        while i < hi:
-            live.add(entries[i])
-            i = self._next_live(i + 1)
+        keys, first = self._keys, self._pre[a]
+        live.update(self._verts[bisect_left(keys, first):
+                                bisect_left(keys, first + self._size[a])])
         return live
 
 
@@ -170,7 +158,9 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     members: set[int] = set()
     trace: list[TraceEvent] = []
 
-    def delete_live_bag(kind: str, a: int) -> None:
+    def delete_live_bag(kind: str, a: int, subtree: set[int]) -> None:
+        """Delete node a's live bag minus the terminals; ``subtree`` is a's
+        live subtree set, which loses the deleted vertices too."""
         live_bag = bag_sets[a] & alive
         removed = tuple(sorted(live_bag - {s, t}))
         if not removed:
@@ -180,19 +170,23 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
                 "is inconsistent")
         trace.append(TraceEvent(
             kind, node=a, bag=tuple(sorted(live_bag)), removed=removed,
-            subtree_vertices=tuple(sorted(live[a]))))
+            subtree_vertices=tuple(sorted(subtree))))
         live.delete(removed)
+        subtree.difference_update(removed)
         members.update(removed)
 
-    # One pass, deepest first (see "Negative cache").  A node with a short
-    # path implies one in the graph, so the graph is tested only after it.
+    # One pass, deepest first (see "Negative cache").  Only b's own steps
+    # delete vertices while b is tested, so its live subtree set is read off
+    # the index once and loses each step's deleted vertices.  A node with a
+    # short path implies one in the graph, so the graph is tested after it.
     for b in both:
-        while hop_distance(g, s, t, cap=L, within=live[b]) is not None:
-            delete_live_bag("prune", b)
+        within = live[b]
+        while hop_distance(g, s, t, cap=L, within=within) is not None:
+            delete_live_bag("prune", b, within)
     if hop_distance(g, s, t, cap=L, within=alive) is not None:
         if both:
-            delete_live_bag("fallback",
-                            min(both, key=lambda a: (td.depth[a], a)))
+            b = min(both, key=lambda a: (td.depth[a], a))
+            delete_live_bag("fallback", b, live[b])
         else:
             cut = min_vertex_cut(g, s, t)
             trace.append(TraceEvent("leaf-mincut", removed=cut.members))

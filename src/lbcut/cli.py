@@ -111,14 +111,24 @@ def _run_algorithm(algo: str, inst: Instance, td, args):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
+def _timed_run(algo: str, inst: Instance, td, args):
+    """(the cut, UNKNOWN or the LbcutError raised; elapsed ms) of one run."""
+    start = time.perf_counter()
+    try:
+        result = _run_algorithm(algo, inst, td, args)
+    except LbcutError as exc:
+        result = exc
+    return result, (time.perf_counter() - start) * 1000.0
+
+
 def cmd_solve(args) -> int:
     g = load_instance(args.graph)
     inst = _instance(g, args)
     td = _load_td(args.td, g) if args.td else None
 
-    start = time.perf_counter()
-    cut = _run_algorithm(args.algo, inst, td, args)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    cut, elapsed_ms = _timed_run(args.algo, inst, td, args)
+    if isinstance(cut, LbcutError):
+        raise cut
     if cut is UNKNOWN:
         print(f"no cut of size <= {args.max_size} found; status unknown",
               file=sys.stderr)
@@ -184,21 +194,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _timed_run(algo: str, inst: Instance, args):
-    """(the cut, UNKNOWN or the LbcutError raised; elapsed ms) of one run."""
-    start = time.perf_counter()
-    try:
-        result = _run_algorithm(algo, inst, None, args)
-    except LbcutError as exc:
-        result = exc
-    return result, (time.perf_counter() - start) * 1000.0
-
-
 def _bench_row(name: str, algo: str, inst: Instance, args, oracle) -> dict:
     """One CSV row.  ``oracle`` is the ``_timed_run`` of ``brute``, whose
     cut sets the ratio and which the ``brute`` row reuses."""
     cut, elapsed_ms = (oracle if algo == "brute"
-                       else _timed_run(algo, inst, args))
+                       else _timed_run(algo, inst, None, args))
     row = {c: "" for c in CSV_COLUMNS}
     row["instance"] = name
     row["algo"] = algo
@@ -247,7 +247,7 @@ def cmd_bench(args) -> int:
                     row.update(instance=path.name, algo=algo, error=str(exc))
                     writer.writerow(row)
                 continue
-            oracle = _timed_run("brute", inst, args)
+            oracle = _timed_run("brute", inst, None, args)
             for algo in algos:
                 writer.writerow(_bench_row(path.name, algo, inst, args, oracle))
     finally:

@@ -299,8 +299,6 @@ def _check_labels(inst: Instance, z: Assignment) -> None:
     for v in inst.graph.sorted_vertices():
         if not lo <= z[v] <= L + 1:
             raise InvalidAssignment(f"label {z[v]} of vertex {v} out of domain")
-    if inst.variant is Variant.VERTEX and (z[inst.s] == -1 or z[inst.t] == -1):
-        raise InvalidAssignment("terminals cannot be deleted")
 
 
 def decode_edge(inst: Instance, z: Assignment) -> CutSet:

@@ -219,6 +219,37 @@ def test_live_subtree_sets_match_materialised_sets():
             alive.difference_update(batch)
 
 
+def test_trace_subtree_sets_are_the_bags_below_minus_earlier_deletions():
+    # The loop reads each node's live subtree set once and then shrinks it
+    # itself; every event's set must still be the union of the bags below
+    # its node minus what earlier events deleted.  The terminals share a
+    # bag, so the loop prunes, and a random root makes it fall back.
+    rng = random.Random(61)
+    kinds = {"prune": 0, "fallback": 0}
+    n_instances = 0
+    while n_instances < 150:
+        n = rng.randint(4, 25)
+        g = random_graph(rng, n, rng.randint(n, 3 * n))
+        td = build_heuristic(g)
+        td = TreeDecomposition(td.bags, td.tree_edges,
+                               root=rng.randrange(td.n_nodes))
+        pairs = [(u, v) for bag in td.bags for u in bag for v in bag
+                 if u < v and not g.has_edge(u, v)]
+        if not pairs:
+            continue
+        n_instances += 1
+        s, t = rng.choice(pairs)
+        res = approx_vertex_cut(
+            Instance(g, s, t, rng.randint(2, 5), Variant.VERTEX), td)
+        below = subtree_vertex_sets(td)
+        deleted: set[int] = set()
+        for ev in res.trace:
+            assert set(ev.subtree_vertices) == below[ev.node] - deleted
+            kinds[ev.kind] += 1
+            deleted.update(ev.removed)
+    assert kinds["prune"] > 100 and kinds["fallback"] > 5, kinds
+
+
 def test_long_fan_runs_without_recursion():
     # s = 0 and t = 1 adjacent to every vertex of the path 2..k+1: with
     # L = 2 the optimum is the whole path.  The approximation takes k - 1

@@ -141,6 +141,19 @@ def test_decode_vertex_rejects_broken_edge_constraint():
         decode_vertex(inst, (0, 3, -1, 3))  # edge (0,1) has |0-3| > 1
 
 
+def test_decode_vertex_rejects_deleted_terminals_and_wrong_length():
+    # A deleted terminal fails the terminal's own label check.
+    inst = Instance(DIAMOND, 0, 3, 2, Variant.VERTEX)
+    with pytest.raises(InvalidAssignment, match="^s must be labeled 0, got -1$"):
+        decode_vertex(inst, (-1, -1, -1, 3))
+    with pytest.raises(InvalidAssignment, match="^t must be labeled 3, got -1$"):
+        decode_vertex(inst, (0, -1, -1, -1))
+    for z in ((0, -1, 3), (0, -1, -1, 3, 3)):
+        with pytest.raises(InvalidAssignment,
+                           match="^assignment length mismatch$"):
+            decode_vertex(inst, z)
+
+
 def cut_to_assignment(inst, cut):
     """Labels of a feasible cut: each kept vertex's hop distance from s in
     the graph minus the cut (L+1 when farther or unreached), clamped into
