@@ -147,7 +147,17 @@ def solve_exact_cut(inst: Instance,
 
     ``distances`` passes the prune's hop distances on to the encoder, as in
     ``csp.encode_edge_cut``; without them the encoder searches itself.
+
+    A simple s-t path has at most n-1 edges (n the graph's vertex count),
+    so every L >= n-1 bounds the same cuts: the s-t separators.  An L
+    above n-1 is lowered to it before encoding, which keeps the label
+    domains, and so the tables, from growing with L; the cut is decoded
+    and checked on that instance.  Every finite distance is at most n-1,
+    so ``distances`` stay valid.
     """
+    longest = len(inst.graph.vertices) - 1
+    if inst.L > longest:
+        inst = Instance(inst.graph, inst.s, inst.t, longest, inst.variant)
     if inst.variant is Variant.EDGE:
         q = encode_edge_cut(inst, distances=distances)
     else:

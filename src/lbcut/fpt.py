@@ -52,10 +52,12 @@ class PruneResult:
 
     @cached_property
     def subgraph(self) -> Graph:
-        g, to_sub = self.graph, self.to_sub
-        edges = frozenset(
-            (i, j) for i, v in enumerate(self.kept) for w in g.neighbors(v)
-            if (j := to_sub.get(w, -1)) > i)
+        g = self.graph
+        index = [-1] * g.n  # new id by original id, -1 if not kept
+        for i, v in enumerate(self.kept):
+            index[v] = i
+        edges = frozenset((i, j) for i, v in enumerate(self.kept)
+                          for w in g.neighbors(v) if (j := index[w]) > i)
         return Graph(len(self.kept), frozenset(range(len(self.kept))), edges)
 
 
@@ -70,11 +72,11 @@ def prune_to_relevant(inst: Instance) -> PruneResult:
     ds = bfs_distances(g, inst.s, cap=L)
     if ds[inst.t] is None:
         return PruneResult((), {}, (), (), g)
-    dt = graph.capped_bfs(g, inst.t, L, offset=ds)
-    kept = tuple(sorted(dt))
+    dt = graph.flat_bfs(g, inst.t, L, offset=ds)[0]
+    kept = tuple([v for v, d in enumerate(dt) if d is not None])
     return PruneResult(kept, {v: i for i, v in enumerate(kept)},
-                       tuple(ds[v] for v in kept),
-                       tuple(dt[v][0] for v in kept), g)
+                       tuple([ds[v] for v in kept]),
+                       tuple([dt[v] for v in kept]), g)
 
 
 def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
@@ -85,8 +87,9 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     (``treedec.validate`` raises InvalidDecomposition otherwise, naming
     the graph's own vertex ids); it is then pruned to the kept vertices and
     relabeled.  Otherwise one is built heuristically on the subgraph.  The
-    cut's ``width_used`` is None when no short path exists and nothing is
-    solved.
+    subgraph's instance keeps L; ``solve_exact_cut`` lowers an L above
+    len(kept) - 1 to it.  The cut's ``width_used`` is None when no short
+    path exists and nothing is solved.
     """
     if td is not None:
         validate(td, inst.graph)

@@ -4,17 +4,25 @@ Vertices are dense integers 0..n-1.  Induced subgraphs keep the original id
 space and mark missing vertices as absent, so cut members stay addressable
 in the parent graph.
 
-One search, ``capped_bfs``, answers every hop-distance question:
-``bfs_distances``, ``hop_distance`` and ``verify_cut`` all call it.  A
-solve searches from s and from t once, in ``fpt.prune_to_relevant``
-(through ``bfs_distances``), and the exact solver's encoder reuses those
-distances; the approximation's short-path tests go through
-``hop_distance``, and every answer is checked by ``verify_cut``.  The
-search scans a vertex's neighbours in ascending id order, or, when the set
-it is confined to (``within``) is smaller than the vertex's adjacency,
-that set's members adjacent to it, also ascending: both give the same
-(depth, parent) entries, and a search confined to a few vertices costs
-what it visits even from a vertex of high degree.
+Two breadth-first searches answer the hop-distance questions, and both
+scan a vertex's neighbours in ascending id order.  ``flat_bfs`` searches
+the whole graph and keeps each vertex's depth and parent in lists indexed
+by vertex id: a search that may reach most of the graph pays one list
+slot per vertex and no hashing.  ``bfs_distances``, the prune's search
+from t (``fpt.prune_to_relevant``, which enters a vertex only if its
+distance from s leaves room) and ``verify_cut`` all call it, so a solve's
+four searches (two in the prune, whose distances the exact solver's
+encoder reuses, and two checks of the cut) run on lists.  ``verify_cut``
+marks a vertex cut's members before the search starts and checks a cut
+edge only at its two endpoints, through a small set per endpoint.
+
+``capped_bfs`` answers ``hop_distance``, the approximation's short-path
+test, which is confined to a set (``within``) that is often a small part
+of the graph.  It keeps a dict of the vertices it reaches, so it costs
+what it visits rather than a list the size of the graph; and when
+``within`` is smaller than a vertex's adjacency, it scans that set's
+members adjacent to the vertex instead, also ascending, so a search from
+a vertex of high degree costs what it visits too.
 
 One flow routine, ``_source_side``, finds both minimum cuts:
 ``min_vertex_cut`` and ``min_edge_cut`` build a unit-capacity residual
@@ -177,22 +185,73 @@ class VerifyResult:
     witness: Optional[tuple[int, ...]] = None
 
 
-def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
-               within: Optional[AbstractSet[int]] = None,
-               blocked: AbstractSet[Edge] = frozenset(),
-               stop: Optional[int] = None,
-               offset: Optional[Sequence[Optional[int]]] = None,
-               ) -> dict[int, tuple[int, Optional[int]]]:
-    """BFS from ``source``; returns ``{reached vertex: (depth, parent)}``.
+def flat_bfs(g: Graph, source: int, cap: Optional[int] = None,
+             stop: Optional[int] = None,
+             offset: Optional[Sequence[Optional[int]]] = None,
+             marked: Iterable[int] = (),
+             cut_at: Optional[dict[int, AbstractSet[int]]] = None,
+             ) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """BFS from ``source`` over the whole graph; returns (depth, parent).
 
-    It goes no deeper than ``cap`` hops, enters no vertex outside ``within``,
-    crosses no (normalised) edge in ``blocked`` and returns on reaching
-    ``stop``.  With ``offset`` (indexed by vertex id, and needing ``cap``)
-    it enters w at depth k only if offset[w] is not None and
-    offset[w] + k <= cap.  Neighbours are scanned in ascending id order.
-    When ``within`` is smaller than u's adjacency, u's scan runs over the
-    members of ``within`` adjacent to u instead, so it costs at most
-    ``len(within)``.
+    Both lists are indexed by vertex id, None where the search did not
+    reach.  It goes no deeper than ``cap`` hops, never enters a
+    ``marked`` vertex (whose depth reads -1), never crosses from u to a
+    vertex in ``cut_at[u]`` and returns on reaching ``stop``.  With
+    ``offset`` (indexed by vertex id, and needing ``cap``) it enters w at
+    depth k only if offset[w] is not None and offset[w] + k <= cap.
+    Neighbours are scanned in ascending id order.
+    """
+    depth: list[Optional[int]] = [None] * g.n
+    parent: list[Optional[int]] = [None] * g.n
+    for v in marked:
+        depth[v] = -1
+    depth[source] = 0
+    adj = g._adj
+    if cap is None:
+        cap = g.n  # no search goes that deep
+    frontier = [source]
+    d = 0
+    while frontier and d < cap:
+        d += 1
+        room = cap - d  # offset[w] <= room
+        nxt = []
+        for u in frontier:
+            skip = cut_at.get(u) if cut_at else None
+            for w in adj[u]:
+                if (depth[w] is not None
+                        or (skip is not None and w in skip)
+                        or (offset is not None
+                            and ((o := offset[w]) is None or o > room))):
+                    continue
+                depth[w] = d
+                parent[w] = u
+                if w == stop:
+                    return depth, parent
+                nxt.append(w)
+        frontier = nxt
+    return depth, parent
+
+
+def bfs_distances(g: Graph, source: int,
+                  cap: Optional[int] = None) -> tuple[Optional[int], ...]:
+    """Hop distance from source to every vertex (None if unreachable, or
+    farther than ``cap``)."""
+    if not g.has_vertex(source):
+        raise GraphError(f"source {source} is not a vertex of the graph")
+    return tuple(flat_bfs(g, source, cap)[0])
+
+
+def capped_bfs(g: Graph, source: int, cap: Optional[int],
+               within: Optional[AbstractSet[int]], stop: Optional[int],
+               ) -> dict[int, tuple[int, Optional[int]]]:
+    """BFS from ``source`` confined to ``within``; returns ``{reached
+    vertex: (depth, parent)}``.
+
+    It goes no deeper than ``cap`` hops, enters no vertex outside ``within``
+    and returns on reaching ``stop``.  Neighbours are scanned in ascending
+    id order.  When ``within`` is smaller than u's adjacency, u's scan runs
+    over the members of ``within`` adjacent to u instead, so it costs at
+    most ``len(within)``.
     """
     reached: dict[int, tuple[int, Optional[int]]] = {source: (0, None)}
     frontier = [source]
@@ -202,7 +261,6 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
     ordered: Optional[list[int]] = None  # ``within`` ascending, on first use
     while frontier and (cap is None or depth < cap):
         depth += 1
-        room = None if offset is None else cap - depth  # offset[w] <= room
         nxt = []
         for u in frontier:
             nbrs = adj[u]
@@ -211,10 +269,7 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
                     ordered = sorted(within)
                 nbrs = tuple(w for w in ordered if g.has_edge(u, w))
             for w in nbrs:
-                if (w in reached or (within is not None and w not in within)
-                        or (blocked and norm_edge(u, w) in blocked)
-                        or (room is not None
-                            and (offset[w] is None or offset[w] > room))):
+                if w in reached or (within is not None and w not in within):
                     continue
                 reached[w] = (depth, u)
                 if w == stop:
@@ -222,18 +277,6 @@ def capped_bfs(g: Graph, source: int, cap: Optional[int] = None,
                 nxt.append(w)
         frontier = nxt
     return reached
-
-
-def bfs_distances(g: Graph, source: int,
-                  cap: Optional[int] = None) -> tuple[Optional[int], ...]:
-    """Hop distance from source to every vertex (None if unreachable, or
-    farther than ``cap``)."""
-    if not g.has_vertex(source):
-        raise GraphError(f"source {source} is not a vertex of the graph")
-    dist: list[Optional[int]] = [None] * g.n
-    for v, (d, _) in capped_bfs(g, source, cap).items():
-        dist[v] = d
-    return tuple(dist)
 
 
 def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
@@ -247,13 +290,14 @@ def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
         raise GraphError("terminals must be vertices of the graph")
     if within is not None and not (s in within and t in within):
         raise GraphError("terminals must lie in `within`")
-    hit = capped_bfs(g, s, cap, within, stop=t).get(t)
+    hit = capped_bfs(g, s, cap, within, t).get(t)
     return None if hit is None else hit[0]
 
 
 def cut_blocks(inst: Instance, cut: CutSet
-               ) -> tuple[Optional[frozenset[int]], frozenset[Edge]]:
-    """The vertices a cut leaves usable (None: all) and the edges it blocks.
+               ) -> tuple[tuple[int, ...], dict[int, set[int]]]:
+    """What a cut takes out of ``flat_bfs``'s reach: the vertices it marks
+    and, for each endpoint u of a cut edge, the vertices u may not step to.
 
     Raises InvalidCut when the cut does not fit the instance: another
     variant, a terminal in a vertex cut, or a member missing from the graph.
@@ -262,16 +306,20 @@ def cut_blocks(inst: Instance, cut: CutSet
         raise InvalidCut("cut variant does not match the instance")
     g = inst.graph
     if cut.variant is Variant.EDGE:
+        cut_at: dict[int, set[int]] = {}
         for e in cut.members:
             if e not in g.edges:
                 raise InvalidCut(f"edge {e} is not in the graph")
-        return None, frozenset(cut.members)
+            u, w = e
+            cut_at.setdefault(u, set()).add(w)
+            cut_at.setdefault(w, set()).add(u)
+        return (), cut_at
     if inst.s in cut.members or inst.t in cut.members:
         raise InvalidCut("a vertex cut may not contain s or t")
     for v in cut.members:
         if not g.has_vertex(v):
             raise InvalidCut(f"vertex {v} is not in the graph")
-    return g.vertices.difference(cut.members), frozenset()
+    return cut.members, {}
 
 
 def verify_cut(inst: Instance, cut: CutSet) -> VerifyResult:
@@ -280,14 +328,14 @@ def verify_cut(inst: Instance, cut: CutSet) -> VerifyResult:
     Infeasible results come with a concrete witness path of length <= L
     that avoids the cut.
     """
-    within, blocked = cut_blocks(inst, cut)
-    reached = capped_bfs(inst.graph, inst.s, inst.L, within, blocked,
-                         stop=inst.t)
-    if inst.t not in reached:
+    marked, cut_at = cut_blocks(inst, cut)
+    depth, parent = flat_bfs(inst.graph, inst.s, inst.L, stop=inst.t,
+                             marked=marked, cut_at=cut_at)
+    if depth[inst.t] is None:
         return VerifyResult(True)
     path = [inst.t]
     while path[-1] != inst.s:
-        path.append(reached[path[-1]][1])
+        path.append(parent[path[-1]])
     return VerifyResult(False, tuple(reversed(path)))
 
 

@@ -6,7 +6,9 @@ vertex with the least (degree, fill-in, id) key in the graph completed so
 far.  It keeps the keys in one heap with lazy deletion, so a step costs
 what the elimination touches rather than a scan of every vertex: only the
 keys of the eliminated vertex's neighbours and of the common neighbours of
-its new fill edges can change, and only those are queued again.
+its new fill edges can change, and only those are queued again.  Each key
+is one integer packing degree, fill-in + 1 and id, which compares faster
+than a tuple, and the per-vertex state sits in lists indexed by id.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def validate(td: TreeDecomposition, g: Graph) -> dict[int, int]:
     return top
 
 
-def _fill_in(work: dict[int, set[int]], v: int) -> int:
+def _fill_in(work: Sequence[set[int]], v: int) -> int:
     """Missing edges among v's neighbours: each neighbour x misses
     nbrs - work[x], which counts x itself and every missing pair twice."""
     nbrs = work[v]
@@ -200,11 +202,13 @@ def build_heuristic(g: Graph) -> TreeDecomposition:
     of the i-th eliminated vertex; its parent is the node of the
     earliest-eliminated other bag member.
 
-    The keys sit in one heap with lazy deletion: ``key`` holds each live
-    vertex's current entry, and a popped entry that differs from it is
-    dropped.  A vertex whose fill-in is not yet known is queued as
-    (degree, -1, id).  Popping it computes the fill-in and queues the full
-    key again, so the heap never orders by a stale fill-in, and fill-in is
+    The keys sit in one heap with lazy deletion.  An entry is one integer
+    that packs (degree, fill-in + 1, id), each in bits of its own, so
+    entries order as those tuples do.  ``key[v]`` holds each live vertex's
+    current entry, and a popped entry that differs from it is dropped.  A
+    vertex whose fill-in is not yet known is queued with 0 in place of
+    fill-in + 1.  Popping it computes the fill-in and queues the full key
+    again, so the heap never orders by a stale fill-in, and fill-in is
     only computed for vertices that reach the least degree.  A popped full
     key is the least: every live vertex's entry is at most its true key.
 
@@ -213,43 +217,60 @@ def build_heuristic(g: Graph) -> TreeDecomposition:
     fill-in changes only if its neighbourhood changed (it lies in N) or a
     new edge (x, y) joins two of its neighbours (it is a common neighbour
     of x and y).  Those vertices are queued again; no other key can change.
+    A popped key's fill-in is current, so when it is 0 no edge is added
+    and only N is queued again.
     """
     if not g.vertices:
         raise GraphError("cannot decompose an empty graph")
-    work = {v: set(g.neighbors(v)) for v in g.sorted_vertices()}
-    key = {v: (len(nbrs), -1, v) for v, nbrs in work.items()}
-    heap = list(key.values())
+    n = g.n
+    # Entry bits, low to high: the id (below n), fill-in + 1 (below n*n),
+    # the degree.
+    fill_at = n.bit_length()
+    deg_at = fill_at + (n * n).bit_length()
+    id_mask = (1 << fill_at) - 1
+    fill_mask = (1 << (deg_at - fill_at)) - 1
+    work = [set(g.neighbors(v)) for v in range(n)]
+    key = [-1] * n  # -1: absent or eliminated
+    for v in g.vertices:
+        key[v] = len(work[v]) << deg_at | v
+    heap = [k for k in key if k >= 0]
     heapq.heapify(heap)
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
-    while work:
+    while len(order) < len(g.vertices):
         entry = heapq.heappop(heap)
-        d, fill, v = entry
-        if key.get(v) != entry:
+        v = entry & id_mask
+        if key[v] != entry:
             continue
+        fill = (entry >> fill_at & fill_mask) - 1  # -1: not yet known
         if fill < 0:
-            key[v] = (d, _fill_in(work, v), v)
+            key[v] = entry | (_fill_in(work, v) + 1) << fill_at
             heapq.heappush(heap, key[v])
             continue
-        del key[v]
-        nbrs = work.pop(v)
+        key[v] = -1
+        nbrs = work[v]
         order.append(v)
         bags.append(tuple(sorted({v} | nbrs)))
         for u in nbrs:
             work[u].discard(v)
-        new_edges = [(x, y) for x in nbrs for y in nbrs - work[x] if x < y]
-        for x, y in new_edges:
-            work[x].add(y)
-            work[y].add(x)
-        stale = set(nbrs)
-        for x, y in new_edges:
-            stale |= work[x] & work[y]
+        if not fill:  # N is a clique already: only degrees in N drop
+            stale = nbrs
+        else:
+            new_edges = [(x, y) for x in nbrs for y in nbrs - work[x] if x < y]
+            for x, y in new_edges:
+                work[x].add(y)
+                work[y].add(x)
+            stale = set(nbrs)
+            for x, y in new_edges:
+                stale |= work[x] & work[y]
         for u in stale:
-            entry = (len(work[u]), -1, u)
+            entry = len(work[u]) << deg_at | u
             if key[u] != entry:
                 key[u] = entry
                 heapq.heappush(heap, entry)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     edges = []
     for i, bag in enumerate(bags):
         later = [pos[u] for u in bag if u != order[i]]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -228,13 +229,34 @@ def test_solve_fpt_searches_four_times(monkeypatch, variant):
     # Two searches in the prune, whose distances the encoder reuses, and
     # one verification each of the subgraph's and the original's cut.
     searches = []
-    real = lbcut.graph.capped_bfs
+    real = lbcut.graph.flat_bfs
 
     def counting(g, source, *args, **kwargs):
         searches.append(source)
         return real(g, source, *args, **kwargs)
 
-    monkeypatch.setattr(lbcut.graph, "capped_bfs", counting)
+    monkeypatch.setattr(lbcut.graph, "flat_bfs", counting)
     cut = solve_fpt(Instance(grid_graph(4, 4), 0, 15, 7, variant))
     assert cut.size == 2
     assert len(searches) == 4
+
+
+def test_large_L_solves_like_the_longest_simple_path():
+    # Every simple s-t path in a graph of n vertices has at most n-1 edges,
+    # so any L from there on asks for an s-t separator, and the solver
+    # encodes L = n-1 of the kept region instead of labels up to L+1, whose
+    # edge relations alone would hold about L**2 pairs.  Most of the time
+    # here is the 5x5 grid's DP at L = 24 (largest tables of 34 M to 47 M
+    # entries, about 1 s per solve).
+    start = time.perf_counter()
+    for side in (3, 5):
+        g = grid_graph(side, side)
+        n = side * side
+        for variant in Variant:
+            for L in (n - 1, 100, 10 ** 4, 10 ** 6):
+                inst = Instance(g, 0, n - 1, L, variant)
+                size = brute_force_cut(inst).size
+                assert solve_fpt(inst).size == size == 2
+                if side == 3:
+                    assert solve_exact_cut(inst).size == size
+    assert time.perf_counter() - start < 60

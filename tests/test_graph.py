@@ -7,7 +7,7 @@ from networkx.algorithms.flow import edmonds_karp
 from lbcut import (CutSet, Graph, GraphError, Instance, InvalidCut,
                    NoVertexCut, Variant, bfs_distances, hop_distance,
                    min_edge_cut, min_vertex_cut, verify_cut)
-from lbcut.graph import capped_bfs, norm_edge
+from lbcut.graph import capped_bfs, flat_bfs, norm_edge
 from lbcut.oracle import enumerate_short_paths
 
 from conftest import (atlas_graphs, brute_min_edge_cut_size,
@@ -74,8 +74,10 @@ def test_hop_distance_within_matches_induced_subgraph():
         hop_distance(PATH4, 0, 3, within={0, 1, 2})
 
 
-def _full_scan_bfs(g, source, cap, within, blocked, stop):
-    """capped_bfs's contract, scanning every neighbour of every vertex."""
+def _full_scan_bfs(g, source, cap, within=None, stop=None, marked=(),
+                   blocked=frozenset(), offset=None):
+    """The searches' contract, scanning every neighbour of every vertex:
+    ``{reached vertex: (depth, parent)}``."""
     reached = {source: (0, None)}
     frontier = [source]
     depth = 0
@@ -84,8 +86,12 @@ def _full_scan_bfs(g, source, cap, within, blocked, stop):
         nxt = []
         for u in frontier:
             for w in sorted(g.neighbors(u)):
-                if (w in reached or (within is not None and w not in within)
-                        or norm_edge(u, w) in blocked):
+                if (w in reached or w in marked
+                        or (within is not None and w not in within)
+                        or norm_edge(u, w) in blocked
+                        or (offset is not None
+                            and (offset[w] is None
+                                 or offset[w] + depth > cap))):
                     continue
                 reached[w] = (depth, u)
                 if w == stop:
@@ -93,6 +99,12 @@ def _full_scan_bfs(g, source, cap, within, blocked, stop):
                 nxt.append(w)
         frontier = nxt
     return reached
+
+
+def _hub_graph(rng, n):
+    """A random graph plus a hub, vertex 0, adjacent to every other."""
+    g = random_graph(rng, n, rng.randint(0, 3 * n))
+    return Graph.from_edges(n, set(g.edges) | {(0, v) for v in range(1, n)})
 
 
 def test_capped_bfs_small_within_matches_full_scan():
@@ -104,23 +116,88 @@ def test_capped_bfs_small_within_matches_full_scan():
     switched = 0
     for _ in range(300):
         n = rng.randint(3, 30)
-        g = random_graph(rng, n, rng.randint(0, 3 * n))
-        g = Graph.from_edges(n, set(g.edges) | {(0, v) for v in range(1, n)})
+        g = _hub_graph(rng, n)
         source = rng.choice([0, rng.randrange(n)])
         small = rng.randint(0, min(n, 6))
         within = {source} | set(rng.sample(range(n), small))
         if rng.random() < 0.3:
             within = set(range(n)) - set(rng.sample(range(n), n // 3))
-        edges = sorted(g.edges)
-        blocked = frozenset(rng.sample(edges, rng.randint(0, len(edges) // 4)))
         stop = rng.choice([None, rng.randrange(n)])
         switched += len(within) < max(map(g.degree, within), default=0)
         for cap in (None, 1, 2, rng.randint(0, n)):
-            for args in ((within, frozenset(), None), (within, blocked, stop),
-                         (None, blocked, stop)):
+            for args in ((within, None), (within, stop), (None, stop)):
                 assert (capped_bfs(g, source, cap, *args)
                         == _full_scan_bfs(g, source, cap, *args))
     assert switched > 100
+
+
+def _reached(depth, parent):
+    return {v: (d, parent[v]) for v, d in enumerate(depth)
+            if d is not None and d >= 0}
+
+
+def test_flat_bfs_matches_full_scan():
+    # Depths and parents of the whole-graph search, with every filter it
+    # takes, against the full scan; vertex 0 is a hub.
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(3, 30)
+        g = _hub_graph(rng, n)
+        source = rng.choice([0, rng.randrange(n)])
+        stop = rng.choice([None, rng.randrange(n)])
+        others = [v for v in range(n) if v != source]
+        marked = set(rng.sample(others, rng.randint(0, n // 3)))
+        edges = sorted(g.edges)
+        blocked = frozenset(rng.sample(edges, rng.randint(0, len(edges) // 4)))
+        cut_at = {}
+        for u, w in blocked:
+            cut_at.setdefault(u, set()).add(w)
+            cut_at.setdefault(w, set()).add(u)
+        offset = [rng.choice([None, rng.randint(0, 4)]) for _ in range(n)]
+        for cap in (None, 1, 2, rng.randint(0, n)):
+            depth, parent = flat_bfs(g, source, cap, stop, marked=marked,
+                                     cut_at=cut_at)
+            assert all(depth[v] == -1 for v in marked)
+            assert _reached(depth, parent) == _full_scan_bfs(
+                g, source, cap, stop=stop, marked=marked, blocked=blocked)
+            assert _reached(*flat_bfs(g, source, cap)) == _full_scan_bfs(
+                g, source, cap)
+            if cap is not None:
+                assert _reached(*flat_bfs(g, source, cap, offset=offset)) \
+                    == _full_scan_bfs(g, source, cap, offset=offset)
+
+
+def test_verify_cut_witness_is_the_full_scan_path():
+    rng = random.Random(37)
+    infeasible = 0
+    for _ in range(300):
+        n = rng.randint(3, 25)
+        g = random_graph(rng, n, rng.randint(n - 1, 3 * n))
+        s, t = rng.sample(range(n), 2)
+        L = rng.randint(1, n)
+        for variant in Variant:
+            if variant is Variant.EDGE:
+                pool = sorted(g.edges)
+            elif g.has_edge(s, t):
+                continue
+            else:
+                pool = [v for v in range(n) if v not in (s, t)]
+            members = tuple(rng.sample(pool, rng.randint(0, len(pool) // 3)))
+            res = verify_cut(Instance(g, s, t, L, variant),
+                             CutSet(variant, members))
+            if variant is Variant.EDGE:
+                ref = _full_scan_bfs(g, s, L, stop=t,
+                                     blocked=frozenset(members))
+            else:
+                ref = _full_scan_bfs(g, s, L, stop=t, marked=set(members))
+            assert res.feasible == (t not in ref)
+            if t in ref:
+                path = [t]
+                while path[-1] != s:
+                    path.append(ref[path[-1]][1])
+                assert res.witness == tuple(reversed(path))
+                infeasible += 1
+    assert infeasible > 100
 
 
 def test_verify_cut_examples():
