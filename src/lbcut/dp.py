@@ -26,15 +26,16 @@ per back-pointer and rebuilds one optimal assignment.
 
 ``table_budget`` caps the entry count of any one bag's table: a bag over it
 aborts with ResourceExceeded before its table is allocated.
+
+numpy is imported inside ``_penalty`` and ``solve_min_csp``, the two
+functions that build arrays, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import AbstractSet, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, AbstractSet, Optional
 
 from .csp import (CspInstance, CspSolution, Distances,
                   decode_edge, decode_vertex, encode_edge_cut,
@@ -44,6 +45,9 @@ from .graph import CutSet, Instance, Variant, verify_cut
 from .treedec import (TreeDecomposition, build_heuristic, scope_owners,
                       top_nodes, width)
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TABLE_BUDGET = 1 << 26
 
 
@@ -52,6 +56,8 @@ def _penalty(allowed, doms, hard: bool) -> np.ndarray:
     """Cost over the positions of a relation's scope domains ``doms``: 0
     where allowed, else 1 (soft) or inf (hard).  Read-only, as it is shared
     by every solve that meets the relation."""
+    import numpy as np
+
     pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
     pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
     for t in allowed:
@@ -86,6 +92,8 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     hold every constraint scope (InvalidDecomposition otherwise).  Variables
     that appear in no bag are unconstrained and get their domain minimum.
     """
+    import numpy as np
+
     cons = q.hard + q.soft
     # Before the empty-domain return: an uncovered scope raises regardless.
     owners = scope_owners(td, top_nodes(td, range(q.num_vars)),

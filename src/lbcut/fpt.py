@@ -28,7 +28,8 @@ from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError
 # hop_distance: unused, kept for the benchmark's tracer
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
-                    hop_distance, norm_edge, verify_cut)
+                    hop_distance, min_edge_cut, min_vertex_cut, norm_edge,
+                    verify_cut)
 from .treedec import TreeDecomposition, build_heuristic, validate
 
 
@@ -86,10 +87,13 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     A supplied decomposition must decompose the instance graph
     (``treedec.validate`` raises InvalidDecomposition otherwise, naming
     the graph's own vertex ids); it is then pruned to the kept vertices and
-    relabeled.  Otherwise one is built heuristically on the subgraph.  The
-    subgraph's instance keeps L; ``solve_exact_cut`` lowers an L above
-    len(kept) - 1 to it.  The cut's ``width_used`` is None when no short
-    path exists and nothing is solved.
+    relabeled.  Otherwise one is built heuristically on the subgraph.
+
+    When L >= len(kept), every simple s-t path of the subgraph is short, so
+    the bounded cuts are its s-t separators, and a max-flow minimum cut is
+    optimal (Menger's theorem): no decomposition or DP runs.  Below that,
+    the subgraph's instance keeps L.  The cut's ``width_used`` is None when
+    no DP runs: no short path exists, or the cut came from the flow.
     """
     if td is not None:
         validate(td, inst.graph)
@@ -97,17 +101,23 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     if not pr.kept:
         return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
 
-    sub_inst = Instance(pr.subgraph, pr.to_sub[inst.s], pr.to_sub[inst.t],
-                        inst.L, inst.variant)
-    if td is not None:
-        bags = tuple(
-            tuple(pr.to_sub[v] for v in bag if v in pr.to_sub)
-            for bag in td.bags)
-        sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
+    s, t = pr.to_sub[inst.s], pr.to_sub[inst.t]
+    if inst.L >= len(pr.kept):
+        if inst.variant is Variant.EDGE:
+            sub_cut = min_edge_cut(pr.subgraph, s, t)
+        else:
+            sub_cut = min_vertex_cut(pr.subgraph, s, t)
     else:
-        sub_td = build_heuristic(pr.subgraph)
-    sub_cut = solve_exact_cut(sub_inst, sub_td, table_budget=table_budget,
-                              distances=(pr.d_s, pr.d_t))
+        if td is not None:
+            bags = tuple(
+                tuple(pr.to_sub[v] for v in bag if v in pr.to_sub)
+                for bag in td.bags)
+            sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
+        else:
+            sub_td = build_heuristic(pr.subgraph)
+        sub_cut = solve_exact_cut(
+            Instance(pr.subgraph, s, t, inst.L, inst.variant), sub_td,
+            table_budget=table_budget, distances=(pr.d_s, pr.d_t))
 
     if inst.variant is Variant.EDGE:
         members = tuple(norm_edge(pr.kept[u], pr.kept[v])

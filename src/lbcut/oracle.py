@@ -3,6 +3,8 @@
 These are deliberately simple: cuts by subset enumeration in increasing
 cardinality, CSPs by exhaustive assignment enumeration, plus short-path
 listing.  None of it scales; none of it is supposed to.
+
+numpy is imported inside ``brute_force_csp``, the one function that uses it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from typing import Optional, Union
-
-import numpy as np
 
 from .csp import CspInstance, CspSolution
 from .errors import ResourceExceeded
@@ -68,6 +68,8 @@ def brute_force_csp(q: CspInstance,
     position in that variable's domain.  Each constraint becomes a boolean
     lookup over its scope's axes, broadcast over the others.
     """
+    import numpy as np
+
     shape = tuple(len(d) for d in q.domains)
     total = math.prod(shape)
     if total > budget:

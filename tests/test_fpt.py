@@ -260,3 +260,29 @@ def test_large_L_solves_like_the_longest_simple_path():
                 if side == 3:
                     assert solve_exact_cut(inst).size == size
     assert time.perf_counter() - start < 60
+
+
+def test_large_L_cut_is_a_max_flow_cut():
+    # From L = len(kept) on, every simple s-t path in the kept region is
+    # short, so a minimum s-t separator is optimal and no DP runs; at
+    # L = len(kept) - 1 the DP still does.  Connected atlas graphs up to 6
+    # vertices and grids up to 4x4, s and t at the two ends, at L = k-1, k,
+    # k+1 and 10**6, with k the count kept at 10**6.
+    graphs = list(atlas_graphs(6)[1:])
+    graphs += [grid_graph(r, c) for r in (2, 3, 4) for c in (2, 3, 4)]
+    flows = dps = 0
+    for g in graphs:
+        s, t = 0, g.n - 1
+        for variant in Variant:
+            if variant is Variant.VERTEX and g.has_edge(s, t):
+                continue
+            k = len(prune_to_relevant(Instance(g, s, t, 10 ** 6, variant)).kept)
+            for L in (k - 1, k, k + 1, 10 ** 6):
+                inst = Instance(g, s, t, L, variant)
+                by_flow = L >= len(prune_to_relevant(inst).kept)
+                cut = solve_fpt(inst)
+                assert cut.size == cut.lower_bound == brute_force_cut(inst).size
+                assert (cut.width_used is None) == by_flow
+                flows += by_flow
+                dps += not by_flow
+    assert flows > 500 and dps > 100
