@@ -4,7 +4,14 @@ One variable per vertex holds a distance-like label.  Labels run over
 0..L+1 with s pinned to 0 and t to L+1; a kept edge forces its endpoint
 labels within 1 of each other, so any surviving s-t path needs more than L
 edges.  The vertex variant adds a label -1 meaning "deleted" and moves the
-unit cost onto unary constraints.
+cost onto unary constraints.
+
+A soft constraint costs its weight, a positive integer, when violated, and
+a solution costs the summed weights of those it violates.  The encoders
+weigh each constraint 1 unless given ``sizes``, the size of the twin class
+each vertex stands for (``dp.solve_exact_cut`` contracts twins before it
+encodes): a "kept" constraint then weighs its vertex's class size, and an
+edge constraint the product of its ends' sizes.
 
 Each vertex v gets only the labels an optimum can need, the BFS layers of
 the paper's planar algorithm.  With lo = min(d(s,v), L+1) and
@@ -87,10 +94,15 @@ Distances = tuple[Sequence[Optional[int]], Sequence[Optional[int]]]
 
 @dataclass(frozen=True)
 class Constraint:
-    """A relational constraint: sorted variable scope and its allowed tuples."""
+    """A relational constraint: sorted variable scope and its allowed tuples.
+
+    ``weight``, a positive integer, is what violating it costs when it is
+    soft; a hard constraint ignores it.
+    """
 
     scope: tuple[int, ...]
     allowed: frozenset[tuple[int, ...]]
+    weight: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "scope", tuple(self.scope))
@@ -103,19 +115,22 @@ class Constraint:
             raise InvalidAssignment("constraint scope may not be empty")
         if any(map(operator.ge, self.scope, self.scope[1:])):
             raise InvalidAssignment("constraint scope must be sorted and distinct")
+        if type(self.weight) is not int or self.weight < 1:
+            raise InvalidAssignment("constraint weight must be a positive integer")
 
 
 @dataclass(frozen=True)
 class CspInstance:
-    """Finite-domain minimization CSP with hard and unit-weight soft constraints.
+    """Finite-domain minimization CSP with hard and weighted soft constraints.
 
-    ``relations`` lists each distinct (allowed tuples, scope domains) pair
-    once, in order of first use, and ``relation_index[i]`` is the position
-    there of constraint i of ``hard + soft``.  Both are derived when the
-    instance is built and take no part in equality.  Each distinct domain
-    is checked once per instance, each distinct pair once per process (a
-    cache, see the module docstring), and the DP builds one penalty array
-    per pair and kind.
+    An assignment costs the summed weights of the soft constraints it
+    violates.  ``relations`` lists each distinct (allowed tuples, scope
+    domains) pair once, in order of first use, and ``relation_index[i]`` is
+    the position there of constraint i of ``hard + soft``.  Both are
+    derived when the instance is built and take no part in equality.  Each
+    distinct domain is checked once per instance, each distinct pair once
+    per process (a cache, see the module docstring), and the DP builds one
+    penalty array per pair and cost of a violation.
     """
 
     num_vars: int
@@ -187,6 +202,9 @@ def _relation_fault(allowed, doms) -> Optional[tuple[str, Optional[int]]]:
 
 @dataclass(frozen=True)
 class CspSolution:
+    """An optimal assignment and its cost: the summed weights of the soft
+    constraints it violates."""
+
     cost: int
     assignment: Assignment
 
@@ -232,43 +250,52 @@ def _kept(d: tuple[int, ...]) -> frozenset[tuple[int]]:
     return frozenset((x,) for x in d if x != -1)
 
 
-def _edge_constraints(g: Graph, domains) -> list[Constraint]:
+def _edge_constraints(g: Graph, domains,
+                      sizes: Optional[Sequence[int]] = None) -> list[Constraint]:
     """One constraint per edge whose relation (``_near``) rules some pair of
-    its end labels out.  Edges with the same pair of end domains share the
+    its end labels out, weighted by the product of its ends' ``sizes``
+    (1 without them).  Edges with the same pair of end domains share the
     cached relation object."""
     out = []
     for u, v in sorted(g.edges):
         rel = _near(domains[u], domains[v])
         if rel is not None:
-            out.append(Constraint((u, v), rel))
+            out.append(Constraint((u, v), rel, 1 if sizes is None
+                                  else sizes[u] * sizes[v]))
     return out
 
 
 def encode_edge_cut(inst: Instance, *,
-                    distances: Optional[Distances] = None) -> CspInstance:
+                    distances: Optional[Distances] = None,
+                    sizes: Optional[Sequence[int]] = None) -> CspInstance:
     """Edge-cut encoding: soft near-constraints on edges, cost = cut size.
 
     The domains pin s and t, so no unary constraint is emitted, nor any
     edge constraint that every pair of its end labels satisfies (module
     docstring).  ``distances``, when given, must be the instance graph's
     hop distances from s and t capped at L (``fpt.prune_to_relevant`` has
-    them); they set the label domains.
+    them); they set the label domains.  ``sizes``, when given, is the
+    size of the twin class each vertex stands for (``dp.solve_exact_cut``),
+    and an edge's constraint weighs the product of its ends' sizes: the
+    edges between two classes, which are joined completely.
     """
     if inst.variant is not Variant.EDGE:
         raise ValueError("encode_edge_cut requires an edge-cut instance")
     domains = tuple(tuple(range(lo, hi + 1))
                     for lo, hi in _label_ranges(inst, distances))
-    soft = _edge_constraints(inst.graph, domains)
+    soft = _edge_constraints(inst.graph, domains, sizes)
     return CspInstance(inst.graph.n, domains, (), tuple(soft))
 
 
 def encode_vertex_cut(inst: Instance, *,
-                      distances: Optional[Distances] = None) -> CspInstance:
+                      distances: Optional[Distances] = None,
+                      sizes: Optional[Sequence[int]] = None) -> CspInstance:
     """Vertex-cut encoding: -1 wildcard on hard edge constraints, unary costs.
 
     A neighbour of s keeps -1 and its labels up to 1, a neighbour of t -1
     and its labels from L on, so no edge at a terminal is emitted (module
-    docstring).  ``distances`` is as in ``encode_edge_cut``.
+    docstring).  ``distances`` is as in ``encode_edge_cut``; with
+    ``sizes``, a vertex's unary "kept" constraint weighs its class size.
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
@@ -282,7 +309,8 @@ def encode_vertex_cut(inst: Instance, *,
         (() if v in (s, t) else (-1,)) + tuple(range(lo, hi + 1))
         for v, (lo, hi) in enumerate(ranges))
     hard = _edge_constraints(g, domains)
-    soft = tuple(Constraint((v,), _kept(domains[v]))
+    soft = tuple(Constraint((v,), _kept(domains[v]), 1 if sizes is None
+                            else sizes[v])
                  for v in g.sorted_vertices() if v not in (s, t))
     return CspInstance(g.n, domains, tuple(hard), soft)
 

@@ -8,12 +8,13 @@ do not form a subtree, or no bag holds some scope; the tree itself is
 checked when the TreeDecomposition is built.  Bottom-up over the rooted tree,
 each node's table is one numpy array with an axis per bag variable, in bag
 order, sized by that variable's domain.  Each owned constraint adds its
-penalty array over its scope, broadcast across the bag: 0 where allowed, 1
-where a soft constraint is violated, inf where a hard one is.  A solve looks
-one array up per relation of ``CspInstance.relations`` and kind, and the
-loop that fills it runs once per process: ``_penalty`` is a
+penalty array over its scope, broadcast across the bag: 0 where allowed,
+and where violated the cost of a violation: a soft constraint's weight (a
+positive integer, 1 unless set), inf for a hard one.  A solve looks one
+array up per relation of ``CspInstance.relations`` and cost, and the loop
+that fills it runs once per process: ``_penalty`` is a
 ``functools.lru_cache`` of at most 512 read-only arrays, keyed by (allowed
-tuples, scope domains, hard).  For the cut encodings an array holds at most
+tuples, scope domains, cost).  For the cut encodings an array holds at most
 (L+3)**2 floats.  A child is folded in by eliminating the variables its
 parent lacks, one axis at a time, last axis first (bucket elimination):
 ``argmin`` and ``min`` over that axis.  Each elimination keeps its own
@@ -26,6 +27,16 @@ per back-pointer and rebuilds one optimal assignment.
 
 ``table_budget`` caps the entry count of any one bag's table: a bag over it
 aborts with ResourceExceeded before its table is allocated.
+
+``solve_exact_cut``, which ``fpt.solve_fpt`` calls on the pruned subgraph,
+contracts twins before any of this: vertices other than s and t with the
+same neighbours form a class, and only the least id of each is decomposed,
+encoded and solved.  The weights carry the class sizes: a representative's
+"kept" constraint (vertex variant) weighs its class size, an edge's
+constraint (edge variant) the product of its ends' sizes.  The cut is
+expanded back to whole classes and checked on the instance given.  So the
+cut's ``width_used`` is the width of the representatives' decomposition.
+An instance without twins is solved as it is.
 
 numpy is imported inside ``_penalty`` and ``solve_min_csp``, the two
 functions that build arrays, so importing this module does not load it.
@@ -52,14 +63,15 @@ TABLE_BUDGET = 1 << 26
 
 
 @lru_cache(maxsize=512)
-def _penalty(allowed, doms, hard: bool) -> np.ndarray:
+def _penalty(allowed, doms, cost: float) -> np.ndarray:
     """Cost over the positions of a relation's scope domains ``doms``: 0
-    where allowed, else 1 (soft) or inf (hard).  Read-only, as it is shared
-    by every solve that meets the relation."""
+    where allowed, else ``cost``, the weight of a soft constraint or inf
+    for a hard one.  Read-only, as it is shared by every solve that meets
+    the relation."""
     import numpy as np
 
     pos_of = [{x: k for k, x in enumerate(d)} for d in doms]
-    pen = np.full([len(d) for d in doms], np.inf if hard else 1.0)
+    pen = np.full([len(d) for d in doms], float(cost))
     for t in allowed:
         pen[tuple(p[x] for p, x in zip(pos_of, t))] = 0.0
     pen.flags.writeable = False
@@ -86,7 +98,8 @@ def _eliminate(table: np.ndarray, bag: tuple[int, ...], keep: AbstractSet[int],
 
 def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
                   table_budget: int = TABLE_BUDGET) -> Optional[CspSolution]:
-    """Minimize violated soft constraints; None iff hard-infeasible.
+    """Minimize the summed weights of violated soft constraints; None iff
+    hard-infeasible.
 
     ``td`` must be a tree decomposition of the constraint graph whose bags
     hold every constraint scope (InvalidDecomposition otherwise).  Variables
@@ -100,11 +113,12 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
                           [c.scope for c in cons])
     owned: list[list[tuple]] = [[] for _ in range(td.n_nodes)]
     for i, (c, a, r) in enumerate(zip(cons, owners, q.relation_index)):
-        owned[a].append((c.scope, (r, i < len(q.hard))))
+        owned[a].append((c.scope, (r, math.inf if i < len(q.hard)
+                                   else c.weight)))
     if any(len(d) == 0 for d in q.domains):
         return None
 
-    penalties: dict[tuple[int, bool], np.ndarray] = {}
+    penalties: dict[tuple[int, float], np.ndarray] = {}
     costs: dict[int, np.ndarray] = {}
     backs: list[tuple] = []  # (variable, variables left, argmin), see _eliminate
     for a in reversed(td.order):
@@ -119,8 +133,8 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
         for scope, key in owned[a]:
             pen = penalties.get(key)
             if pen is None:
-                r, hard = key
-                pen = penalties[key] = _penalty(*q.relations[r], hard)
+                r, cost = key
+                pen = penalties[key] = _penalty(*q.relations[r], cost)
             terms.append((pen, scope))
         for ch in td.children[a]:
             terms.append(_eliminate(costs.pop(ch), td.bags[ch],
@@ -147,6 +161,21 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     return CspSolution(int(best_cost), values)
 
 
+def _twin_classes(inst: Instance) -> dict[int, list[int]]:
+    """Each class of two or more twins, ascending and keyed by its least
+    id: present vertices other than s and t whose neighbours are the same.
+    Empty when no two vertices are twins."""
+    g = inst.graph
+    first: dict[tuple[int, ...], int] = {}  # neighbours -> least such vertex
+    classes: dict[int, list[int]] = {}
+    for v in g.sorted_vertices():
+        if v != inst.s and v != inst.t:
+            rep = first.setdefault(g.neighbors(v), v)
+            if rep != v:
+                classes.setdefault(rep, [rep]).append(v)
+    return classes
+
+
 def solve_exact_cut(inst: Instance,
                     td: Optional[TreeDecomposition] = None, *,
                     table_budget: int = TABLE_BUDGET,
@@ -156,33 +185,70 @@ def solve_exact_cut(inst: Instance,
     ``distances`` passes the prune's hop distances on to the encoder, as in
     ``csp.encode_edge_cut``; without them the encoder searches itself.
 
-    A simple s-t path has at most n-1 edges (n the graph's vertex count),
-    so every L >= n-1 bounds the same cuts: the s-t separators.  An L
-    above n-1 is lowered to it before encoding, which keeps the label
-    domains, and so the tables, from growing with L; the cut is decoded
-    and checked on that instance.  Every finite distance is at most n-1,
-    so ``distances`` stay valid.
+    Twins are contracted first: of each class of vertices other than s
+    and t with the same neighbours, only the least id (its representative)
+    is decomposed, encoded and solved, in the subgraph induced by the
+    representatives, whose hop distances are the instance's own.  A
+    supplied ``td`` has its other vertices dropped from its bags.  A
+    representative's "kept" constraint (vertex variant) weighs its class
+    size, and an edge's constraint (edge variant) the product of its ends'
+    class sizes, the edges between two classes.  This is exact:
+
+    - vertex variant: a minimum cut never splits a class.  A short path
+      through a cut twin u and past an uncut twin v has a shortcut at v;
+      one that misses v still runs with v in u's place.
+    - edge variant: twins have the same labels to choose from and the same
+      cost as a function of their own label, so some optimal labelling is
+      constant on each class.
+
+    The representatives' cut is expanded to whole classes (each deleted
+    vertex, or each cut edge's pairs of class members), checked on
+    ``inst`` and against the weighted cost.  ``width_used`` is the width of
+    the representatives' decomposition.
+
+    A simple s-t path has at most n-1 edges (n the vertex count of the
+    graph solved), so every L >= n-1 bounds the same cuts: the s-t
+    separators.  An L above n-1 is lowered to it before encoding, which
+    keeps the label domains, and so the tables, from growing with L.
+    Every finite distance is at most n-1, so ``distances`` stay valid.
     """
-    longest = len(inst.graph.vertices) - 1
-    if inst.L > longest:
-        inst = Instance(inst.graph, inst.s, inst.t, longest, inst.variant)
+    g = inst.graph
+    classes = _twin_classes(inst)
+    sizes = None
+    if classes:
+        dropped = {v for c in classes.values() for v in c[1:]}
+        g = g.induced(g.vertices - dropped)
+        sizes = [1] * g.n
+        for v, c in classes.items():
+            sizes[v] = len(c)
+        if td is not None:
+            td = TreeDecomposition(
+                tuple(tuple(v for v in bag if v not in dropped)
+                      for bag in td.bags), td.tree_edges, td.root)
+    reps = Instance(g, inst.s, inst.t, min(inst.L, len(g.vertices) - 1),
+                    inst.variant)
     if inst.variant is Variant.EDGE:
-        q = encode_edge_cut(inst, distances=distances)
+        q = encode_edge_cut(reps, distances=distances, sizes=sizes)
     else:
-        q = encode_vertex_cut(inst, distances=distances)
+        q = encode_vertex_cut(reps, distances=distances, sizes=sizes)
     if td is None:
-        td = build_heuristic(inst.graph)
+        td = build_heuristic(g)
     sol = solve_min_csp(q, td, table_budget=table_budget)
     if sol is None:
         raise LbcutError("cut encodings are always hard-feasible; "
                          "infeasibility indicates a bug")
     if inst.variant is Variant.EDGE:
-        decoded = decode_edge(inst, sol.assignment)
+        members = decode_edge(reps, sol.assignment).members
+        if classes:
+            members = [(a, b) for u, v in members
+                       for a in classes.get(u, (u,))
+                       for b in classes.get(v, (v,))]
     else:
-        decoded = decode_vertex(inst, sol.assignment)
-    cut = CutSet(inst.variant, decoded.members,
-                 lower_bound=len(decoded.members), algorithm="exact-dp",
-                 width_used=width(td))
+        members = decode_vertex(reps, sol.assignment).members
+        if classes:
+            members = [a for v in members for a in classes.get(v, (v,))]
+    cut = CutSet(inst.variant, members, lower_bound=len(members),
+                 algorithm="exact-dp", width_used=width(td))
     if not verify_cut(inst, cut).feasible:
         raise LbcutError("decoded cut failed verification; solver bug")
     if len(cut.members) != sol.cost:

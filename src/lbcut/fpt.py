@@ -26,7 +26,7 @@ from typing import Optional
 from . import graph
 from .dp import TABLE_BUDGET, solve_exact_cut
 from .errors import LbcutError
-# hop_distance: unused, kept for the benchmark's tracer
+# hop_distance and build_heuristic: unused, kept for the benchmark's tracer
 from .graph import (CutSet, Graph, Instance, Variant, bfs_distances,
                     hop_distance, min_edge_cut, min_vertex_cut, norm_edge,
                     verify_cut)
@@ -87,13 +87,16 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
     A supplied decomposition must decompose the instance graph
     (``treedec.validate`` raises InvalidDecomposition otherwise, naming
     the graph's own vertex ids); it is then pruned to the kept vertices and
-    relabeled.  Otherwise one is built heuristically on the subgraph.
+    relabeled.  Otherwise ``dp.solve_exact_cut`` builds one heuristically
+    on the subgraph's twin representatives.
 
-    When L >= len(kept), every simple s-t path of the subgraph is short, so
-    the bounded cuts are its s-t separators, and a max-flow minimum cut is
-    optimal (Menger's theorem): no decomposition or DP runs.  Below that,
-    the subgraph's instance keeps L.  The cut's ``width_used`` is None when
-    no DP runs: no short path exists, or the cut came from the flow.
+    When L >= len(kept) - 1, every simple s-t path of the subgraph is
+    short, so the bounded cuts are its s-t separators, and a max-flow
+    minimum cut is optimal (Menger's theorem): no decomposition or DP runs.
+    Below that, ``dp.solve_exact_cut`` solves the subgraph's instance,
+    which keeps L, and contracts its twins before it decomposes.  The cut's
+    ``width_used`` is None when no DP runs: no short path exists, or the
+    cut came from the flow.
     """
     if td is not None:
         validate(td, inst.graph)
@@ -102,19 +105,18 @@ def solve_fpt(inst: Instance, td: Optional[TreeDecomposition] = None, *,
         return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
 
     s, t = pr.to_sub[inst.s], pr.to_sub[inst.t]
-    if inst.L >= len(pr.kept):
+    if inst.L >= len(pr.kept) - 1:
         if inst.variant is Variant.EDGE:
             sub_cut = min_edge_cut(pr.subgraph, s, t)
         else:
             sub_cut = min_vertex_cut(pr.subgraph, s, t)
     else:
+        sub_td = None
         if td is not None:
             bags = tuple(
                 tuple(pr.to_sub[v] for v in bag if v in pr.to_sub)
                 for bag in td.bags)
             sub_td = TreeDecomposition(bags, td.tree_edges, td.root)
-        else:
-            sub_td = build_heuristic(pr.subgraph)
         sub_cut = solve_exact_cut(
             Instance(pr.subgraph, s, t, inst.L, inst.variant), sub_td,
             table_budget=table_budget, distances=(pr.d_s, pr.d_t))

@@ -58,7 +58,8 @@ def brute_force_cut(inst: Instance,
 
 def brute_force_csp(q: CspInstance,
                     budget: int = DEFAULT_CSP_BUDGET) -> Optional[CspSolution]:
-    """Exhaustive minimum over all assignments; None if hard-infeasible.
+    """Exhaustive minimum over all assignments, each costing the summed
+    weights of the soft constraints it violates; None if hard-infeasible.
 
     Ties go to the lexicographically first assignment under the per-variable
     domain orders.  Raises ResourceExceeded when the assignment space is
@@ -95,7 +96,7 @@ def brute_force_csp(q: CspInstance,
         hard_ok &= allowed(c)
     violations = np.zeros(shape, dtype=np.int64)
     for c in q.soft:
-        violations += ~allowed(c)
+        violations += c.weight * ~allowed(c)
     if not hard_ok.any():
         return None
     costs = np.where(hard_ok, violations, np.iinfo(np.int64).max)

@@ -172,8 +172,11 @@ def fan_instance(k: int) -> Instance:
     return Instance(Graph.from_edges(k + 2, edges), 0, 1, 2, Variant.VERTEX)
 
 
-def random_csp(rng: random.Random, max_vars=10, max_dom=4) -> CspInstance:
-    """Random binary-relation CSP with a random hard/soft split."""
+def random_csp(rng: random.Random, max_vars=10, max_dom=4,
+               max_weight=1) -> CspInstance:
+    """Random binary-relation CSP with a random hard/soft split.  With
+    ``max_weight`` above 1 each constraint draws a weight from 1 to it
+    (the hard ones ignore theirs)."""
     nv = rng.randint(1, max_vars)
     domains = tuple(tuple(range(rng.randint(1, max_dom))) for _ in range(nv))
     cons = []
@@ -184,7 +187,8 @@ def random_csp(rng: random.Random, max_vars=10, max_dom=4) -> CspInstance:
             scope = (rng.randrange(nv),)
         space = [tuple(t) for t in product(*(domains[v] for v in scope))]
         allowed = frozenset(rng.sample(space, rng.randint(0, len(space))))
-        cons.append(Constraint(scope, allowed))
+        weight = rng.randint(1, max_weight) if max_weight > 1 else 1
+        cons.append(Constraint(scope, allowed, weight))
     split = rng.randint(0, len(cons))
     return CspInstance(nv, domains, tuple(cons[:split]), tuple(cons[split:]))
 
@@ -195,6 +199,10 @@ def satisfied_by(c: Constraint, z) -> bool:
 
 def violated_soft_count(q: CspInstance, z) -> int:
     return sum(1 for c in q.soft if not satisfied_by(c, z))
+
+
+def violated_soft_weight(q: CspInstance, z) -> int:
+    return sum(c.weight for c in q.soft if not satisfied_by(c, z))
 
 
 def satisfies_all_hard(q: CspInstance, z) -> bool:

@@ -18,6 +18,15 @@ def path_graph(tmp_path):
     return p
 
 
+@pytest.fixture
+def forked_path(tmp_path):
+    # 1-2, then 2-3-5 and 2-4-5: L = 3 leaves every vertex kept and the
+    # DP running (from L = 4 = |kept| - 1 on, a max-flow cut answers).
+    p = tmp_path / "forked.lbcut"
+    p.write_text("p lbcut 5 5\ne 1 2\ne 2 3\ne 2 4\ne 3 5\ne 4 5\n")
+    return p
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -41,11 +50,11 @@ def test_solve_exact_json(path_graph, capsys):
 # Full stdout of `solve` and `bench`, with elapsed_ms masked.
 SOLVE_GOLDEN = [
     (["--variant", "edge", "--algo", "exact"],
-     "algorithm: fpt\nvariant: edge\nL: 3\ncut: 3-4\nsize: 1\n"
-     "feasible: true\nlower_bound: 1\nwidth_used: 1\nelapsed_ms: <ms>\n"),
+     "algorithm: fpt\nvariant: edge\nL: 3\ncut: 1-2\nsize: 1\n"
+     "feasible: true\nlower_bound: 1\nelapsed_ms: <ms>\n"),
     (["--variant", "edge", "--algo", "exact", "--json"],
-     '{"algorithm": "fpt", "variant": "edge", "L": 3, "cut": [[3, 4]], '
-     '"size": 1, "feasible": true, "lower_bound": 1, "width_used": 1, '
+     '{"algorithm": "fpt", "variant": "edge", "L": 3, "cut": [[1, 2]], '
+     '"size": 1, "feasible": true, "lower_bound": 1, "width_used": null, '
      '"elapsed_ms": <ms>}\n'),
     (["--variant", "edge", "--algo", "brute"],
      "algorithm: brute-force\nvariant: edge\nL: 3\ncut: 1-2\nsize: 1\n"
@@ -100,7 +109,7 @@ def test_bench_output_golden(tmp_path, capsys):
     assert _mask_elapsed(out).splitlines() == [
         "instance,algo,size,lower_bound,width_used,elapsed_ms,"
         "ratio_vs_oracle,error",
-        "a_cycle5.lbcut,exact,1,1,1,<ms>,1.0000,",
+        "a_cycle5.lbcut,exact,1,1,,<ms>,1.0000,",
         "a_cycle5.lbcut,approx,1,1,1,<ms>,1.0000,",
         "a_cycle5.lbcut,brute,1,1,,<ms>,1.0000,",
         "a_cycle5.lbcut,mincut-baseline,2,,,<ms>,2.0000,",
@@ -440,9 +449,9 @@ def test_brute_unknown_within_budget_exits_2(path_graph, capsys):
     assert code == 2 and "unknown" in err
 
 
-def test_auto_falls_back_to_approx_on_blown_budget(path_graph, capsys):
+def test_auto_falls_back_to_approx_on_blown_budget(forked_path, capsys):
     code, out, _ = run(capsys, [
-        "solve", "--graph", str(path_graph), "--source", "1", "--sink", "4",
+        "solve", "--graph", str(forked_path), "--source", "1", "--sink", "5",
         "--length", "3", "--variant", "vertex", "--algo", "auto",
         "--table-budget", "2", "--json"])
     assert code == 0
@@ -451,9 +460,9 @@ def test_auto_falls_back_to_approx_on_blown_budget(path_graph, capsys):
     assert report["size"] == 1 and report["feasible"] is True
 
 
-def test_auto_with_edge_variant_cannot_fall_back(path_graph, capsys):
+def test_auto_with_edge_variant_cannot_fall_back(forked_path, capsys):
     code, _, err = run(capsys, [
-        "solve", "--graph", str(path_graph), "--source", "1", "--sink", "4",
+        "solve", "--graph", str(forked_path), "--source", "1", "--sink", "5",
         "--length", "3", "--variant", "edge", "--algo", "auto",
         "--table-budget", "2"])
     assert code == 1 and "budget" in err

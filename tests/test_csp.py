@@ -561,6 +561,10 @@ def test_csp_instance_rejects_malformed_input():
          lambda: Constraint((), frozenset({()}))),
         ("sorted and distinct",
          lambda: Constraint((1, 0), frozenset({(0, 0)}))),
+        ("weight must be a positive integer",
+         lambda: Constraint((0,), frozenset({(0,)}), 0)),
+        ("weight must be a positive integer",
+         lambda: Constraint((0,), frozenset({(0,)}), 2.0)),
         ("one domain required",
          lambda: CspInstance(2, ((0,),), (), ())),
         ("sorted and duplicate-free",

@@ -14,7 +14,8 @@ from lbcut import dp
 from lbcut.treedec import scope_owners, top_nodes
 
 from conftest import (constraint_graph, random_csp, satisfied_by,
-                      satisfies_all_hard, violated_soft_count)
+                      satisfies_all_hard, violated_soft_count,
+                      violated_soft_weight)
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -76,11 +77,13 @@ def test_one_relation_as_hard_and_soft_solves_as_brute_force():
 
 
 def test_cached_penalty_arrays_refuse_writes():
+    # Keyed by the cost of a violation: a soft constraint's weight, or inf.
     q = encode_edge_cut(Instance(PATH4, 0, 3, 3, Variant.EDGE))
     allowed, doms = q.relations[0]
-    for hard in (False, True):
-        pen = dp._penalty(allowed, doms, hard)
-        assert pen is dp._penalty(allowed, doms, hard)
+    for cost in (1, 3, math.inf):
+        pen = dp._penalty(allowed, doms, cost)
+        assert pen is dp._penalty(allowed, doms, cost)
+        assert sorted(set(pen.flat)) == [0.0, cost]
         with pytest.raises(ValueError, match="read-only"):
             pen[0, 0] = 7.0
 
@@ -154,20 +157,25 @@ def test_scope_owner_partition():
 
 
 def test_dp_matches_enumeration_on_random_csps():
+    # Unit-weight soft constraints, then weights from 1 to 4.
     rng = random.Random(55)
-    for _ in range(80):
-        q = random_csp(rng)
-        td = decomposition_for(q)
-        got = solve_min_csp(q, td)
-        want = brute_force_csp(q)
-        if want is None:
-            assert got is None
-            continue
-        assert got.cost == want.cost
-        assert satisfies_all_hard(q, got.assignment)
-        assert violated_soft_count(q, got.assignment) == got.cost
-        for v, x in enumerate(got.assignment):
-            assert x in q.domains[v]
+    weighted = 0
+    for max_weight in (1, 4):
+        for _ in range(80):
+            q = random_csp(rng, max_weight=max_weight)
+            td = decomposition_for(q)
+            got = solve_min_csp(q, td)
+            want = brute_force_csp(q)
+            if want is None:
+                assert got is None
+                continue
+            assert got.cost == want.cost
+            assert satisfies_all_hard(q, got.assignment)
+            assert violated_soft_weight(q, got.assignment) == got.cost
+            for v, x in enumerate(got.assignment):
+                assert x in q.domains[v]
+            weighted += got.cost > violated_soft_count(q, got.assignment)
+    assert weighted > 10
 
 
 def test_dp_rerooted_joins_eliminate_several_variables():

@@ -3,9 +3,12 @@ import time
 
 import pytest
 
+import lbcut.dp
+import lbcut.fpt
 import lbcut.graph
-from lbcut import (Graph, Instance, UNKNOWN, Variant,
-                   bfs_distances, brute_force_cut, build_heuristic, generate,
+import lbcut.treedec
+from lbcut import (Graph, Instance, TreeDecomposition, UNKNOWN, Variant,
+                   bfs_distances, brute_force_cut, generate,
                    hop_distance, parse_instance, prune_to_relevant,
                    solve_exact_cut, solve_fpt)
 
@@ -133,13 +136,17 @@ def test_pipeline_is_graph_agnostic_on_nonplanar_inputs():
 
 
 def test_supplied_decomposition_is_pruned_and_used():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-    td = build_heuristic(g)
+    # The 6-cycle 0-1-2-3-6-5 with a pendant 4 off vertex 1, which the
+    # prune drops.  One bag of all 7 vertices (the heuristic's width is
+    # 2) is restricted to the 6 kept ones, so the DP ran on width 5.
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (0, 5), (5, 6),
+                             (6, 3)])
+    td = TreeDecomposition((tuple(range(7)),), frozenset())
     inst = Instance(g, 0, 3, 3, Variant.EDGE)
     cut = solve_fpt(inst, td)
-    assert cut.size == 1
-    assert prune_to_relevant(inst).kept == (0, 1, 2, 3)
-    assert cut.width_used == 1
+    assert cut.size == 2
+    assert prune_to_relevant(inst).kept == (0, 1, 2, 3, 5, 6)
+    assert cut.width_used == 5
 
 
 def _check_prune_distances(inst: Instance) -> bool:
@@ -243,11 +250,11 @@ def test_solve_fpt_searches_four_times(monkeypatch, variant):
 
 def test_large_L_solves_like_the_longest_simple_path():
     # Every simple s-t path in a graph of n vertices has at most n-1 edges,
-    # so any L from there on asks for an s-t separator, and the solver
-    # encodes L = n-1 of the kept region instead of labels up to L+1, whose
-    # edge relations alone would hold about L**2 pairs.  Most of the time
-    # here is the 5x5 grid's DP at L = 24 (largest tables of 34 M to 47 M
-    # entries, about 1 s per solve).
+    # so any L from there on asks for an s-t separator: solve_fpt answers
+    # it with a max-flow cut of the kept region, and solve_exact_cut
+    # encodes L = n-1 instead of labels up to L+1, whose edge relations
+    # alone would hold about L**2 pairs.  Every L here is at least n-1, so
+    # no 5x5 solve runs the DP (at L = 24 it took about 1 s per solve).
     start = time.perf_counter()
     for side in (3, 5):
         g = grid_graph(side, side)
@@ -263,11 +270,11 @@ def test_large_L_solves_like_the_longest_simple_path():
 
 
 def test_large_L_cut_is_a_max_flow_cut():
-    # From L = len(kept) on, every simple s-t path in the kept region is
-    # short, so a minimum s-t separator is optimal and no DP runs; at
-    # L = len(kept) - 1 the DP still does.  Connected atlas graphs up to 6
-    # vertices and grids up to 4x4, s and t at the two ends, at L = k-1, k,
-    # k+1 and 10**6, with k the count kept at 10**6.
+    # From L = len(kept) - 1 on, every simple s-t path in the kept region
+    # is short, so a minimum s-t separator is optimal and no DP runs;
+    # below that the DP does.  Connected atlas graphs up to 6 vertices and
+    # grids up to 4x4, s and t at the two ends, at L = k-3 to k+1 (from 1)
+    # and 10**6, with k the count kept at 10**6.
     graphs = list(atlas_graphs(6)[1:])
     graphs += [grid_graph(r, c) for r in (2, 3, 4) for c in (2, 3, 4)]
     flows = dps = 0
@@ -277,12 +284,77 @@ def test_large_L_cut_is_a_max_flow_cut():
             if variant is Variant.VERTEX and g.has_edge(s, t):
                 continue
             k = len(prune_to_relevant(Instance(g, s, t, 10 ** 6, variant)).kept)
-            for L in (k - 1, k, k + 1, 10 ** 6):
+            for L in (k - 3, k - 2, k - 1, k, k + 1, 10 ** 6):
+                if L < 1:
+                    continue
                 inst = Instance(g, s, t, L, variant)
-                by_flow = L >= len(prune_to_relevant(inst).kept)
+                by_flow = L >= len(prune_to_relevant(inst).kept) - 1
                 cut = solve_fpt(inst)
                 assert cut.size == cut.lower_bound == brute_force_cut(inst).size
                 assert (cut.width_used is None) == by_flow
                 flows += by_flow
                 dps += not by_flow
     assert flows > 500 and dps > 100
+
+
+def _representatives(g: Graph, s: int, t: int) -> frozenset[int]:
+    """s, t and the least vertex of each class of other vertices with the
+    same neighbours."""
+    first: dict = {}
+    for v in g.sorted_vertices():
+        if v not in (s, t):
+            first.setdefault(g.neighbors(v), v)
+    return frozenset({s, t, *first.values()})
+
+
+def _twin_instances():
+    """(graph, s, t) with twins: diamonds (k middles between s and t),
+    K_{2,m} with both terminals on one side, and small partial k-trees."""
+    for k in range(2, 7):
+        yield parse_instance(generate("diamond", [k])), 0, k + 1
+    for m in range(3, 7):
+        g = Graph.from_edges(m + 2, [(a, c) for a in (0, 1)
+                                     for c in range(2, m + 2)])
+        yield g, 2, 3
+        yield g, 0, 1
+    rng = random.Random(24)
+    for seed in range(20):
+        n, k = rng.randint(7, 11), rng.choice((2, 3))
+        g = parse_instance(generate("partial-ktree", [n, k, 0.8], seed=seed))
+        yield g, *rng.sample(range(n), 2)
+
+
+def test_twins_are_contracted_before_the_dp(monkeypatch):
+    # The DP decomposes only the representatives of the kept subgraph's
+    # twin classes, and its expanded cut is optimal in both variants.
+    received = []
+    real = lbcut.treedec.build_heuristic
+
+    def recording(g):
+        received.append(g.vertices)
+        return real(g)
+
+    monkeypatch.setattr(lbcut.dp, "build_heuristic", recording)
+    monkeypatch.setattr(lbcut.fpt, "build_heuristic", recording)
+    contracted = solved = 0
+    for g, s, t in _twin_instances():
+        for variant in Variant:
+            if variant is Variant.VERTEX and g.has_edge(s, t):
+                continue
+            for L in range(1, 6):
+                inst = Instance(g, s, t, L, variant)
+                want = brute_force_cut(inst)
+                received.clear()
+                cut = solve_fpt(inst)
+                if want is not UNKNOWN:
+                    assert cut.size == want.size, (g.edges, s, t, L, variant)
+                    solved += 1
+                if cut.width_used is None:
+                    assert received == []
+                    continue
+                pr = prune_to_relevant(inst)
+                reps = _representatives(pr.subgraph, pr.to_sub[s],
+                                        pr.to_sub[t])
+                assert received == [reps]
+                contracted += len(reps) < len(pr.kept)
+    assert solved > 250 and contracted > 80

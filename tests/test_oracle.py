@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from lbcut import (Constraint, CspInstance, Graph, Instance, ResourceExceeded,
-                   UNKNOWN, Variant, brute_force_csp, brute_force_cut,
-                   encode_edge_cut, enumerate_short_paths)
+from lbcut import (Constraint, CspInstance, CspSolution, Graph, Instance,
+                   ResourceExceeded, UNKNOWN, Variant, brute_force_csp,
+                   brute_force_cut, encode_edge_cut, enumerate_short_paths)
 
 from conftest import grid_graph, satisfies_all_hard, violated_soft_count
 
@@ -55,6 +55,15 @@ def test_brute_force_csp_no_constraints():
 def test_brute_force_csp_infeasible():
     q = CspInstance(1, ((0,),), (Constraint((0,), frozenset({(1,)}) - {(1,)}),), ())
     assert brute_force_csp(q) is None
+
+
+def test_brute_force_csp_sums_weights():
+    # x = 0 violates the weight-3 constraint, x = 1 the two of weight 1.
+    zero = frozenset({(0,)})
+    q = CspInstance(1, ((0, 1),), (),
+                    (Constraint((0,), frozenset({(1,)}), 3),
+                     Constraint((0,), zero), Constraint((0,), zero)))
+    assert brute_force_csp(q) == CspSolution(2, (1,))
 
 
 def test_brute_force_csp_agrees_with_cut_oracle():
