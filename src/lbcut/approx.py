@@ -29,9 +29,11 @@ holding both terminals never change, and a node whose live subtree set has
 no short path never gets one again.  Scanning them deepest first, every
 node before b has none, so one pass over them in that order does all the
 steps, and each node tests negative once.  A test is a depth-capped BFS
-(``graph.hop_distance``) confined to the live subtree set; no subgraph is
-built, and the search scans only members of that set, so a test costs the
-set's size and its edges even where s has many deleted neighbours.
+(``graph.hop_distance``) confined to the live subtree set that asks for
+t's distance alone.  No subgraph is built: each level intersects the
+frontier's neighbour sets (``Graph.adj_sets``) with the part of the set
+not reached yet, in C and over the smaller side, so a test costs what it
+reaches even where s has many deleted neighbours.
 
 Interval index (``LiveSubtrees``).  No union of a subtree's bags is stored.
 A vertex v lies in the subtree set of node b exactly when v is in B(b) or

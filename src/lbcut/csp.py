@@ -216,18 +216,24 @@ def _label_ranges(inst: Instance,
 
     ``distances`` gives every vertex's hop distances from s and from t when
     the caller already has them; otherwise two L-capped searches find them.
-    Distances past L (None) count as L+1, so absent vertices get (0, 0).
+    Distances past L (None) count as L+1.  An id absent from the graph gets
+    (0, 0) whatever its distances say: it is in no constraint, and decoding
+    reads only the graph's vertices.
     """
-    L = inst.L
+    g, L = inst.graph, inst.L
     if distances is None:
-        distances = (bfs_distances(inst.graph, inst.s, cap=L),
-                     bfs_distances(inst.graph, inst.t, cap=L))
+        distances = (bfs_distances(g, inst.s, cap=L),
+                     bfs_distances(g, inst.t, cap=L))
     ds, dt = distances
     ranges = []
     for a, b in zip(ds, dt):
         lo = L + 1 if a is None else a
         hi = 0 if b is None else L + 1 - b
         ranges.append((min(lo, hi), hi))
+    if len(g.vertices) < g.n:
+        for v in range(g.n):
+            if v not in g.vertices:
+                ranges[v] = (0, 0)
     ranges[inst.s] = (0, 0)
     ranges[inst.t] = (L + 1, L + 1)
     return ranges
@@ -294,8 +300,9 @@ def encode_vertex_cut(inst: Instance, *,
 
     A neighbour of s keeps -1 and its labels up to 1, a neighbour of t -1
     and its labels from L on, so no edge at a terminal is emitted (module
-    docstring).  ``distances`` is as in ``encode_edge_cut``; with
-    ``sizes``, a vertex's unary "kept" constraint weighs its class size.
+    docstring).  An id absent from the graph has the one label 0.
+    ``distances`` is as in ``encode_edge_cut``; with ``sizes``, a vertex's
+    unary "kept" constraint weighs its class size.
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("encode_vertex_cut requires a vertex-cut instance")
@@ -305,9 +312,10 @@ def encode_vertex_cut(inst: Instance, *,
         ranges[v] = (ranges[v][0], min(ranges[v][1], 1))
     for v in g.neighbors(t):
         ranges[v] = (max(ranges[v][0], L), ranges[v][1])
+    present = g.vertices
     domains = tuple(
-        (() if v in (s, t) else (-1,)) + tuple(range(lo, hi + 1))
-        for v, (lo, hi) in enumerate(ranges))
+        (() if v == s or v == t or v not in present else (-1,))
+        + tuple(range(lo, hi + 1)) for v, (lo, hi) in enumerate(ranges))
     hard = _edge_constraints(g, domains)
     soft = tuple(Constraint((v,), _kept(domains[v]), 1 if sizes is None
                             else sizes[v])

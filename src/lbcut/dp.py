@@ -29,14 +29,19 @@ per back-pointer and rebuilds one optimal assignment.
 aborts with ResourceExceeded before its table is allocated.
 
 ``solve_exact_cut``, which ``fpt.solve_fpt`` calls on the pruned subgraph,
-contracts twins before any of this: vertices other than s and t with the
-same neighbours form a class, and only the least id of each is decomposed,
-encoded and solved.  The weights carry the class sizes: a representative's
-"kept" constraint (vertex variant) weighs its class size, an edge's
-constraint (edge variant) the product of its ends' sizes.  The cut is
-expanded back to whole classes and checked on the instance given.  So the
-cut's ``width_used`` is the width of the representatives' decomposition.
-An instance without twins is solved as it is.
+shrinks the instance before any of this.  In the vertex variant it first
+deletes simplicial vertices (other than s and t, with pairwise adjacent
+neighbours), which no minimum vertex cut needs: a short path through one
+has a shortcut past it.  Then it contracts twins: vertices other than s and
+t with the same neighbours form a class, and only the least id of each is
+decomposed, encoded and solved.  The weights carry the class sizes: a
+representative's "kept" constraint (vertex variant) weighs its class size,
+an edge's constraint (edge variant) the product of its ends' sizes.  A
+vertex that lost a twin neighbour may now be simplicial, so the vertex
+variant deletes again from there.  The cut is expanded back to whole
+classes and checked on the instance given.  So the cut's ``width_used`` is
+the width of the representatives' decomposition.  An instance with
+nothing to delete or contract is solved as it is.
 
 numpy is imported inside ``_penalty`` and ``solve_min_csp``, the two
 functions that build arrays, so importing this module does not load it.
@@ -46,7 +51,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, AbstractSet, Optional
+from itertools import combinations
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
 from .csp import (CspInstance, CspSolution, Distances,
                   decode_edge, decode_vertex, encode_edge_cut,
@@ -161,16 +167,47 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     return CspSolution(int(best_cost), values)
 
 
-def _twin_classes(inst: Instance) -> dict[int, list[int]]:
+def _delete_simplicial(inst: Instance, gone: set[int],
+                       check: Iterable[int]) -> None:
+    """Add simplicial vertices to ``gone``, one at a time: vertices other
+    than s and t whose neighbours outside ``gone`` are pairwise adjacent.
+
+    ``check`` holds the vertices whose neighbourhoods may have shrunk since
+    they were last found not simplicial (every vertex, at first).  Deleting
+    a vertex keeps every other simplicial vertex simplicial, so what is
+    deleted does not depend on the order, and after each deletion only the
+    deleted vertex's neighbours are checked again.  A check looks the
+    neighbours' pairs up in the edge set and stops at the first missing
+    one.
+    """
+    g, s, t = inst.graph, inst.s, inst.t
+    is_edge = g.edges.__contains__
+    stack = [v for v in check if v != s and v != t and v not in gone]
+    while stack:
+        v = stack.pop()
+        if v in gone:
+            continue
+        nbrs = g.neighbors(v)
+        if gone:
+            nbrs = [w for w in nbrs if w not in gone]
+        if all(map(is_edge, combinations(nbrs, 2))):
+            gone.add(v)
+            stack.extend(w for w in nbrs if w != s and w != t)
+
+
+def _twin_classes(inst: Instance, gone: AbstractSet[int]) -> dict[int, list[int]]:
     """Each class of two or more twins, ascending and keyed by its least
-    id: present vertices other than s and t whose neighbours are the same.
-    Empty when no two vertices are twins."""
+    id: vertices other than s and t, and not in ``gone``, whose neighbours
+    outside ``gone`` are the same.  Empty when no two vertices are twins."""
     g = inst.graph
     first: dict[tuple[int, ...], int] = {}  # neighbours -> least such vertex
     classes: dict[int, list[int]] = {}
     for v in g.sorted_vertices():
-        if v != inst.s and v != inst.t:
-            rep = first.setdefault(g.neighbors(v), v)
+        if v != inst.s and v != inst.t and v not in gone:
+            nbrs = g.neighbors(v)
+            if gone:
+                nbrs = tuple([w for w in nbrs if w not in gone])
+            rep = first.setdefault(nbrs, v)
             if rep != v:
                 classes.setdefault(rep, [rep]).append(v)
     return classes
@@ -185,26 +222,39 @@ def solve_exact_cut(inst: Instance,
     ``distances`` passes the prune's hop distances on to the encoder, as in
     ``csp.encode_edge_cut``; without them the encoder searches itself.
 
-    Twins are contracted first: of each class of vertices other than s
-    and t with the same neighbours, only the least id (its representative)
-    is decomposed, encoded and solved, in the subgraph induced by the
-    representatives, whose hop distances are the instance's own.  A
-    supplied ``td`` has its other vertices dropped from its bags.  A
-    representative's "kept" constraint (vertex variant) weighs its class
-    size, and an edge's constraint (edge variant) the product of its ends'
-    class sizes, the edges between two classes.  This is exact:
+    The instance is shrunk first, in steps that share one induced
+    subgraph; the hop distances of what is left are the instance's own.
 
-    - vertex variant: a minimum cut never splits a class.  A short path
-      through a cut twin u and past an uncut twin v has a shortcut at v;
-      one that misses v still runs with v in u's place.
-    - edge variant: twins have the same labels to choose from and the same
-      cost as a function of their own label, so some optimal labelling is
-      constant on each class.
+    1. Vertex variant only: simplicial vertices are deleted.  Every vertex
+       other than s and t whose remaining neighbours are pairwise adjacent
+       goes, one at a time.  This is exact: a short path x-v-y through a
+       simplicial v has the shortcut x-y, so G and G-v have the same cuts
+       that avoid v, and a minimum cut of G-v is one of G.  Shortest paths
+       avoid v too.  (An edge cut may need v's edges, so the edge variant
+       keeps it.)
+    2. Twins are contracted: of each class of the remaining vertices other
+       than s and t with the same remaining neighbours, only the least id
+       (its representative) is decomposed, encoded and solved.  A
+       representative's "kept" constraint (vertex variant) weighs its class
+       size, and an edge's constraint (edge variant) the product of its
+       ends' class sizes, the edges between two classes.  This is exact:
 
-    The representatives' cut is expanded to whole classes (each deleted
-    vertex, or each cut edge's pairs of class members), checked on
-    ``inst`` and against the weighted cost.  ``width_used`` is the width of
-    the representatives' decomposition.
+       - vertex variant: a minimum cut never splits a class.  A short path
+         through a cut twin u and past an uncut twin v has a shortcut at
+         v; one that misses v still runs with v in u's place.
+       - edge variant: twins have the same labels to choose from and the
+         same cost as a function of their own label, so some optimal
+         labelling is constant on each class.
+    3. Vertex variant only: a vertex whose neighbours lost a twin in step 2
+       may have become simplicial, so step 1 runs again from the dropped
+       twins' neighbours.  The shortcut argument holds for the weighted
+       instance too, so no vertex the DP sees is simplicial.
+
+    A supplied ``td`` has the deleted vertices and the other twins dropped
+    from its bags.  The representatives' cut is expanded to whole classes
+    (each representative in it, or each cut edge's pairs of class
+    members), checked on ``inst`` and against the weighted cost.
+    ``width_used`` is the width of the representatives' decomposition.
 
     A simple s-t path has at most n-1 edges (n the vertex count of the
     graph solved), so every L >= n-1 bounds the same cuts: the s-t
@@ -213,14 +263,23 @@ def solve_exact_cut(inst: Instance,
     Every finite distance is at most n-1, so ``distances`` stay valid.
     """
     g = inst.graph
-    classes = _twin_classes(inst)
+    vertex = inst.variant is Variant.VERTEX
+    dropped: set[int] = set()
+    if vertex:
+        _delete_simplicial(inst, dropped, g.vertices)
+    classes = _twin_classes(inst, dropped)
     sizes = None
     if classes:
-        dropped = {v for c in classes.values() for v in c[1:]}
-        g = g.induced(g.vertices - dropped)
+        twins = [v for c in classes.values() for v in c[1:]]
+        dropped.update(twins)
         sizes = [1] * g.n
         for v, c in classes.items():
             sizes[v] = len(c)
+        if vertex:
+            _delete_simplicial(inst, dropped,
+                               {w for v in twins for w in g.neighbors(v)})
+    if dropped:
+        g = g.induced(g.vertices - dropped)
         if td is not None:
             td = TreeDecomposition(
                 tuple(tuple(v for v in bag if v not in dropped)

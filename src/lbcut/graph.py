@@ -4,11 +4,12 @@ Vertices are dense integers 0..n-1.  Induced subgraphs keep the original id
 space and mark missing vertices as absent, so cut members stay addressable
 in the parent graph.
 
-Two breadth-first searches answer the hop-distance questions, and both
-scan a vertex's neighbours in ascending id order.  ``flat_bfs`` searches
-the whole graph and keeps each vertex's depth and parent in lists indexed
-by vertex id: a search that may reach most of the graph pays one list
-slot per vertex and no hashing.  ``bfs_distances``, the prune's search
+Two breadth-first searches answer the hop-distance questions.
+``flat_bfs`` searches the whole graph, scanning a vertex's neighbours in
+ascending id order so that its parents (and a cut's witness path) are
+fixed, and keeps each vertex's depth and parent in lists indexed by
+vertex id: a search that may reach most of the graph pays one list slot
+per vertex and no hashing.  ``bfs_distances``, the prune's search
 from t (``fpt.prune_to_relevant``, which enters a vertex only if its
 distance from s leaves room) and ``verify_cut`` all call it, so a solve's
 four searches (two in the prune, whose distances the exact solver's
@@ -16,13 +17,14 @@ encoder reuses, and two checks of the cut) run on lists.  ``verify_cut``
 marks a vertex cut's members before the search starts and checks a cut
 edge only at its two endpoints, through a small set per endpoint.
 
-``capped_bfs`` answers ``hop_distance``, the approximation's short-path
-test, which is confined to a set (``within``) that is often a small part
-of the graph.  It keeps a dict of the vertices it reaches, so it costs
-what it visits rather than a list the size of the graph; and when
-``within`` is smaller than a vertex's adjacency, it scans that set's
-members adjacent to the vertex instead, also ascending, so a search from
-a vertex of high degree costs what it visits too.
+``hop_distance``, the approximation's short-path test, is confined to a
+set (``within``) that is often a small part of the graph, and it asks for
+the distance alone, so it needs neither parents nor an order.  It runs
+level by level over ``Graph.adj_sets``, each vertex's neighbours as a
+frozenset, built once per graph on first use: each frontier vertex adds
+the intersection of its neighbours with the part of ``within`` not reached
+yet, a C set intersection over the smaller side.  So a search costs what it
+reaches, even from a vertex of high degree, and it returns at t's level.
 
 One flow routine, ``_source_side``, finds both minimum cuts:
 ``min_vertex_cut`` and ``min_edge_cut`` build a unit-capacity residual
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import GraphError, InvalidCut, NoVertexCut
@@ -109,6 +112,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
+
+    @cached_property
+    def adj_sets(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbours as a frozenset, built on first use."""
+        return tuple(map(frozenset, self._adj))
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
@@ -241,57 +249,38 @@ def bfs_distances(g: Graph, source: int,
     return tuple(flat_bfs(g, source, cap)[0])
 
 
-def capped_bfs(g: Graph, source: int, cap: Optional[int],
-               within: Optional[AbstractSet[int]], stop: Optional[int],
-               ) -> dict[int, tuple[int, Optional[int]]]:
-    """BFS from ``source`` confined to ``within``; returns ``{reached
-    vertex: (depth, parent)}``.
-
-    It goes no deeper than ``cap`` hops, enters no vertex outside ``within``
-    and returns on reaching ``stop``.  Neighbours are scanned in ascending
-    id order.  When ``within`` is smaller than u's adjacency, u's scan runs
-    over the members of ``within`` adjacent to u instead, so it costs at
-    most ``len(within)``.
-    """
-    reached: dict[int, tuple[int, Optional[int]]] = {source: (0, None)}
-    frontier = [source]
-    depth = 0
-    adj = g._adj
-    limit = g.n if within is None else len(within)  # no degree reaches n
-    ordered: Optional[list[int]] = None  # ``within`` ascending, on first use
-    while frontier and (cap is None or depth < cap):
-        depth += 1
-        nxt = []
-        for u in frontier:
-            nbrs = adj[u]
-            if len(nbrs) > limit:
-                if ordered is None:
-                    ordered = sorted(within)
-                nbrs = tuple(w for w in ordered if g.has_edge(u, w))
-            for w in nbrs:
-                if w in reached or (within is not None and w not in within):
-                    continue
-                reached[w] = (depth, u)
-                if w == stop:
-                    return reached
-                nxt.append(w)
-        frontier = nxt
-    return reached
-
-
 def hop_distance(g: Graph, s: int, t: int, cap: Optional[int] = None,
                  within: Optional[AbstractSet[int]] = None) -> Optional[int]:
     """Distance from s to t, or None if unreachable or larger than ``cap``.
 
     With ``within``, the search is confined to that vertex set, which gives
     the distance in ``g.induced(within)`` without building that graph.
+    Only the distance is asked for, so the search needs no order and no
+    parents: each level is the union of ``rest & g.adj_sets[u]`` over its
+    frontier, where ``rest`` is what ``within`` holds that the search has
+    not reached yet, and it returns at t's level.
     """
     if not (g.has_vertex(s) and g.has_vertex(t)):
         raise GraphError("terminals must be vertices of the graph")
     if within is not None and not (s in within and t in within):
         raise GraphError("terminals must lie in `within`")
-    hit = capped_bfs(g, s, cap, within, t).get(t)
-    return None if hit is None else hit[0]
+    if s == t:
+        return 0
+    adj = g.adj_sets
+    rest = set(g.vertices if within is None else within)
+    rest.discard(s)
+    frontier = (s,)
+    depth = 0
+    while frontier and (cap is None or depth < cap):
+        depth += 1
+        nxt: set[int] = set()
+        for u in frontier:
+            nxt |= rest & adj[u]
+        if t in nxt:
+            return depth
+        rest -= nxt
+        frontier = nxt
+    return None
 
 
 def cut_blocks(inst: Instance, cut: CutSet

@@ -135,6 +135,26 @@ def test_decode_vertex_examples():
     assert verify_cut(inst_p3, cut).feasible
 
 
+def test_absent_ids_take_one_label_and_decoding_ignores_them():
+    # Vertex 2 of the diamond is the twin of 1; without it, its id is in
+    # no constraint.  The diamond's own distances give it a range, yet
+    # both encoders give it the one label 0, and decoding reads only the
+    # graph's vertices, whatever label the id holds.
+    g = DIAMOND.induced({0, 1, 3})
+    distances = (bfs_distances(DIAMOND, 0), bfs_distances(DIAMOND, 3))
+    for variant, encode, decode in (
+            (Variant.EDGE, encode_edge_cut, decode_edge),
+            (Variant.VERTEX, encode_vertex_cut, decode_vertex)):
+        inst = Instance(g, 0, 3, 2, variant)
+        q = encode(inst, distances=distances)
+        assert q.domains[2] == (0,)
+        z = solve_min_csp(q, build_heuristic(g)).assignment
+        cut = decode(inst, z)
+        assert z[2] == 0 and cut.size == 1
+        for label in (-1, 3):
+            assert decode(inst, z[:2] + (label,) + z[3:]) == cut
+
+
 def test_decode_vertex_rejects_broken_edge_constraint():
     inst = Instance(DIAMOND, 0, 3, 2, Variant.VERTEX)
     with pytest.raises(InvalidAssignment):
@@ -375,12 +395,14 @@ def test_relation_index_keys_each_relation_and_domains_pair_once():
 
 def _range_encoding(inst, ranges):
     """Reference encoding in which vertex v takes the labels ranges[v], plus
-    -1 for "deleted" at every vertex but s and t in the vertex variant; only
-    the hard unary and edge constraints rule labels out."""
-    vertex = inst.variant is Variant.VERTEX
+    -1 for "deleted" at every vertex of the graph but s and t in the vertex
+    variant (an absent id takes its range alone); only the hard unary and
+    edge constraints rule labels out."""
+    deletable = (inst.graph.vertices - {inst.s, inst.t}
+                 if inst.variant is Variant.VERTEX else ())
     return _encoding_over(inst, tuple(
-        ((-1,) if vertex and v not in (inst.s, inst.t) else ())
-        + tuple(range(lo, hi + 1)) for v, (lo, hi) in enumerate(ranges)))
+        ((-1,) if v in deletable else ()) + tuple(range(lo, hi + 1))
+        for v, (lo, hi) in enumerate(ranges)))
 
 
 def _encoding_over(inst, domains):

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -297,6 +298,21 @@ def test_large_L_cut_is_a_max_flow_cut():
     assert flows > 500 and dps > 100
 
 
+def _is_simplicial(g: Graph, v: int) -> bool:
+    return all(g.has_edge(a, b) for a, b in combinations(g.neighbors(v), 2))
+
+
+def _simplicial_kernel(g: Graph, s: int, t: int) -> Graph:
+    """g after deleting, one at a time, vertices other than s and t whose
+    neighbours are pairwise adjacent, until none is left."""
+    while True:
+        v = next((v for v in g.sorted_vertices()
+                  if v not in (s, t) and _is_simplicial(g, v)), None)
+        if v is None:
+            return g
+        g = g.induced(g.vertices - {v})
+
+
 def _representatives(g: Graph, s: int, t: int) -> frozenset[int]:
     """s, t and the least vertex of each class of other vertices with the
     same neighbours."""
@@ -326,7 +342,9 @@ def _twin_instances():
 
 def test_twins_are_contracted_before_the_dp(monkeypatch):
     # The DP decomposes only the representatives of the kept subgraph's
-    # twin classes, and its expanded cut is optimal in both variants.
+    # twin classes, and its expanded cut is optimal in both variants.  In
+    # the vertex variant, simplicial vertices are deleted before and after
+    # the contraction.
     received = []
     real = lbcut.treedec.build_heuristic
 
@@ -353,8 +371,81 @@ def test_twins_are_contracted_before_the_dp(monkeypatch):
                     assert received == []
                     continue
                 pr = prune_to_relevant(inst)
-                reps = _representatives(pr.subgraph, pr.to_sub[s],
-                                        pr.to_sub[t])
+                sub_s, sub_t = pr.to_sub[s], pr.to_sub[t]
+                sub = pr.subgraph
+                if variant is Variant.VERTEX:
+                    sub = _simplicial_kernel(sub, sub_s, sub_t)
+                reps = _representatives(sub, sub_s, sub_t)
+                if variant is Variant.VERTEX:
+                    reps = _simplicial_kernel(sub.induced(reps), sub_s,
+                                              sub_t).vertices
                 assert received == [reps]
                 contracted += len(reps) < len(pr.kept)
     assert solved > 250 and contracted > 80
+
+
+def _two_path(g: Graph, a: int, b: int, k: int) -> Graph:
+    """g with k new vertices grown from its edge a-b, each adjacent to the
+    two before it (a and b first): only the last is simplicial until it is
+    deleted, and then the one before it is."""
+    chain, edges = [a, b], set(g.edges)
+    for v in range(g.n, g.n + k):
+        edges |= {(chain[-2], v), (chain[-1], v)}
+        chain.append(v)
+    return Graph.from_edges(g.n + k, edges)
+
+
+def _simplicial_instances():
+    """(graph, s, t) for vertex cuts: small partial k-trees, and cycles and
+    partial k-trees with a 2-path grown from one of their edges."""
+    rng = random.Random(25)
+    for seed in range(30):
+        n, k = rng.randint(7, 11), rng.choice((2, 3))
+        g = parse_instance(generate("partial-ktree", [n, k, 0.8], seed=seed))
+        s, t = rng.sample(range(n), 2)
+        if rng.random() < 0.5:
+            g = _two_path(g, *rng.choice(sorted(g.edges)), rng.randint(1, 4))
+        yield g, s, t
+    for m in range(4, 9):
+        cycle = Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+        for a in range(m // 2):
+            yield _two_path(cycle, a, a + 1, rng.randint(1, 4)), 0, m // 2
+
+
+def test_simplicial_vertices_are_deleted_before_the_dp(monkeypatch):
+    # Vertex variant: the DP's decomposition never holds a vertex other
+    # than s and t that is simplicial in its graph, and the cut is optimal,
+    # with and without a supplied decomposition.  Some deleted vertices
+    # were simplicial only once another had been deleted.
+    received = []
+    real = lbcut.treedec.build_heuristic
+
+    def recording(g):
+        received.append(g)
+        return real(g)
+
+    monkeypatch.setattr(lbcut.dp, "build_heuristic", recording)
+    solved = cascades = 0
+    for g, s, t in _simplicial_instances():
+        if g.has_edge(s, t):
+            continue
+        kernel = _simplicial_kernel(g, s, t)
+        cascades += any(not _is_simplicial(g, v)
+                        for v in g.vertices - kernel.vertices)
+        for L in range(1, 6):
+            inst = Instance(g, s, t, L, Variant.VERTEX)
+            want = brute_force_cut(inst)
+            assert want is not UNKNOWN
+            pr = prune_to_relevant(inst)
+            sub_terminals = {pr.to_sub.get(s), pr.to_sub.get(t)}
+            for solve, terminals in ((solve_exact_cut, {s, t}),
+                                     (solve_fpt, sub_terminals)):
+                for td in (None, real(g)):
+                    received.clear()
+                    cut = solve(inst, td)
+                    assert cut.size == want.size, (sorted(g.edges), s, t, L)
+                    for h in received:
+                        assert not any(_is_simplicial(h, v) for v in h.vertices
+                                       if v not in terminals)
+            solved += 1
+    assert solved > 140 and cascades > 15

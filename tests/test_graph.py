@@ -7,7 +7,7 @@ from networkx.algorithms.flow import edmonds_karp
 from lbcut import (CutSet, Graph, GraphError, Instance, InvalidCut,
                    NoVertexCut, Variant, bfs_distances, hop_distance,
                    min_edge_cut, min_vertex_cut, verify_cut)
-from lbcut.graph import capped_bfs, flat_bfs, norm_edge
+from lbcut.graph import flat_bfs, norm_edge
 from lbcut.oracle import enumerate_short_paths
 
 from conftest import (atlas_graphs, brute_min_edge_cut_size,
@@ -57,6 +57,7 @@ def test_hop_distance_cap():
     assert hop_distance(PATH4, 0, 3, cap=2) is None
     assert hop_distance(PATH4, 0, 3, cap=3) == 3
     assert hop_distance(Graph.from_edges(2, []), 0, 1) is None
+    assert hop_distance(PATH4, 2, 2) == hop_distance(PATH4, 2, 2, cap=0) == 0
 
 
 def test_hop_distance_within_matches_induced_subgraph():
@@ -70,6 +71,28 @@ def test_hop_distance_within_matches_induced_subgraph():
         for cap in (None, 1, 2, rng.randint(0, n)):
             assert (hop_distance(g, s, t, cap, within=within)
                     == hop_distance(sub, s, t, cap))
+    # Vertex 0 is a hub adjacent to every other vertex, as s and t are in
+    # a fan: a search from or through it meets a `within` much smaller than
+    # its adjacency.  The distance is the full scan's depth of t.
+    rng = random.Random(29)
+    small = 0
+    for _ in range(300):
+        n = rng.randint(3, 30)
+        g = _hub_graph(rng, n)
+        s = rng.choice([0, rng.randrange(n)])
+        t = rng.choice([v for v in range(n) if v != s])
+        within = {s, t} | set(rng.sample(range(n), rng.randint(0, min(n, 6))))
+        if rng.random() < 0.3:
+            within = {s, t} | (set(range(n)) - set(rng.sample(range(n), n // 3)))
+        small += len(within) < max(map(g.degree, within))
+        sub = g.induced(within)
+        for cap in (None, 1, 2, rng.randint(0, n)):
+            want = _full_scan_bfs(g, s, cap, within, t).get(t, (None,))[0]
+            assert hop_distance(g, s, t, cap, within=within) == want
+            assert hop_distance(sub, s, t, cap) == want
+            assert hop_distance(g, s, t, cap) == _full_scan_bfs(
+                g, s, cap, stop=t).get(t, (None,))[0]
+    assert small > 100
     with pytest.raises(GraphError, match="terminals must lie in `within`"):
         hop_distance(PATH4, 0, 3, within={0, 1, 2})
 
@@ -105,30 +128,6 @@ def _hub_graph(rng, n):
     """A random graph plus a hub, vertex 0, adjacent to every other."""
     g = random_graph(rng, n, rng.randint(0, 3 * n))
     return Graph.from_edges(n, set(g.edges) | {(0, v) for v in range(1, n)})
-
-
-def test_capped_bfs_small_within_matches_full_scan():
-    # A `within` smaller than a vertex's adjacency switches that vertex's
-    # scan to the members of `within`; depths and parents must not change.
-    # Vertex 0 is a hub adjacent to every other vertex, so a search from or
-    # through it switches whenever `within` is small.
-    rng = random.Random(29)
-    switched = 0
-    for _ in range(300):
-        n = rng.randint(3, 30)
-        g = _hub_graph(rng, n)
-        source = rng.choice([0, rng.randrange(n)])
-        small = rng.randint(0, min(n, 6))
-        within = {source} | set(rng.sample(range(n), small))
-        if rng.random() < 0.3:
-            within = set(range(n)) - set(rng.sample(range(n), n // 3))
-        stop = rng.choice([None, rng.randrange(n)])
-        switched += len(within) < max(map(g.degree, within), default=0)
-        for cap in (None, 1, 2, rng.randint(0, n)):
-            for args in ((within, None), (within, stop), (None, stop)):
-                assert (capped_bfs(g, source, cap, *args)
-                        == _full_scan_bfs(g, source, cap, *args))
-    assert switched > 100
 
 
 def _reached(depth, parent):
