@@ -279,8 +279,8 @@ def encode_edge_cut(inst: Instance, *,
     The domains pin s and t, so no unary constraint is emitted, nor any
     edge constraint that every pair of its end labels satisfies (module
     docstring).  ``distances``, when given, must be the instance graph's
-    hop distances from s and t capped at L (``fpt.prune_to_relevant`` has
-    them); they set the label domains.  ``sizes``, when given, is the
+    hop distances from s and t capped at L (``dp.solve_exact_cut`` maps
+    the prune's to the graph it encodes); they set the label domains.  ``sizes``, when given, is the
     size of the twin class each vertex stands for (``dp.solve_exact_cut``),
     and an edge's constraint weighs the product of its ends' sizes: the
     edges between two classes, which are joined completely.

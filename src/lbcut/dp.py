@@ -28,20 +28,24 @@ per back-pointer and rebuilds one optimal assignment.
 ``table_budget`` caps the entry count of any one bag's table: a bag over it
 aborts with ResourceExceeded before its table is allocated.
 
-``solve_exact_cut``, which ``fpt.solve_fpt`` calls on the pruned subgraph,
-shrinks the instance before any of this.  In the vertex variant it first
-deletes simplicial vertices (other than s and t, with pairwise adjacent
-neighbours), which no minimum vertex cut needs: a short path through one
-has a shortcut past it.  Then it contracts twins: vertices other than s and
-t with the same neighbours form a class, and only the least id of each is
-decomposed, encoded and solved.  The weights carry the class sizes: a
-representative's "kept" constraint (vertex variant) weighs its class size,
-an edge's constraint (edge variant) the product of its ends' sizes.  A
-vertex that lost a twin neighbour may now be simplicial, so the vertex
-variant deletes again from there.  The cut is expanded back to whole
-classes and checked on the instance given.  So the cut's ``width_used`` is
-the width of the representatives' decomposition.  An instance with
-nothing to delete or contract is solved as it is.
+``solve_exact_cut`` decides which vertices the DP solves, and under which
+ids.  ``fpt.solve_fpt`` hands it the prune's region (its kept vertices and
+their distances); a direct call solves every vertex.  An L of at least
+|region| - 1 asks for an s-t separator, answered by a max-flow.  Otherwise
+the region is shrunk in the instance graph's own ids.  In the vertex
+variant it first deletes simplicial vertices (other than s and t, with
+pairwise adjacent neighbours), which no minimum vertex cut needs: a short
+path through one has a shortcut past it.  Then it contracts twins:
+vertices other than s and t with the same neighbours form a class, and
+only the least id of each is decomposed, encoded and solved.  The weights
+carry the class sizes: a representative's "kept" constraint (vertex
+variant) weighs its class size, an edge's constraint (edge variant) the
+product of its ends' sizes.  A vertex that lost a twin neighbour may now
+be simplicial, so the vertex variant deletes again from there.  The
+representatives are relabelled 0..r-1 in one graph, the only one the solve
+builds, and the cut is mapped back, expanded to whole classes and verified
+once, on the instance given.  So the cut's ``width_used`` is the width of
+the representatives' decomposition.
 
 numpy is imported inside ``_penalty`` and ``solve_min_csp``, the two
 functions that build arrays, so importing this module does not load it.
@@ -52,18 +56,20 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional, Sequence
 
-from .csp import (CspInstance, CspSolution, Distances,
-                  decode_edge, decode_vertex, encode_edge_cut,
-                  encode_vertex_cut)
+from .csp import (CspInstance, CspSolution, decode_edge, decode_vertex,
+                  encode_edge_cut, encode_vertex_cut)
 from .errors import LbcutError, ResourceExceeded
-from .graph import CutSet, Instance, Variant, verify_cut
+from .graph import (CutSet, Graph, Instance, Variant, min_edge_cut,
+                    min_vertex_cut, verify_cut)
 from .treedec import (TreeDecomposition, build_heuristic, scope_owners,
-                      top_nodes, width)
+                      top_nodes, validate, width)
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .fpt import PruneResult
 
 TABLE_BUDGET = 1 << 26
 
@@ -167,10 +173,10 @@ def solve_min_csp(q: CspInstance, td: TreeDecomposition, *,
     return CspSolution(int(best_cost), values)
 
 
-def _delete_simplicial(inst: Instance, gone: set[int],
+def _delete_simplicial(inst: Instance, alive: set[int],
                        check: Iterable[int]) -> None:
-    """Add simplicial vertices to ``gone``, one at a time: vertices other
-    than s and t whose neighbours outside ``gone`` are pairwise adjacent.
+    """Remove simplicial vertices from ``alive``, one at a time: vertices
+    other than s and t whose neighbours in ``alive`` are pairwise adjacent.
 
     ``check`` holds the vertices whose neighbourhoods may have shrunk since
     they were last found not simplicial (every vertex, at first).  Deleting
@@ -182,48 +188,74 @@ def _delete_simplicial(inst: Instance, gone: set[int],
     """
     g, s, t = inst.graph, inst.s, inst.t
     is_edge = g.edges.__contains__
-    stack = [v for v in check if v != s and v != t and v not in gone]
+    stack = [v for v in check if v != s and v != t and v in alive]
     while stack:
         v = stack.pop()
-        if v in gone:
+        if v not in alive:
             continue
-        nbrs = g.neighbors(v)
-        if gone:
-            nbrs = [w for w in nbrs if w not in gone]
+        nbrs = [w for w in g.neighbors(v) if w in alive]
         if all(map(is_edge, combinations(nbrs, 2))):
-            gone.add(v)
+            alive.remove(v)
             stack.extend(w for w in nbrs if w != s and w != t)
 
 
-def _twin_classes(inst: Instance, gone: AbstractSet[int]) -> dict[int, list[int]]:
+def _twin_classes(inst: Instance, region: Sequence[int],
+                  alive: AbstractSet[int]) -> dict[int, list[int]]:
     """Each class of two or more twins, ascending and keyed by its least
-    id: vertices other than s and t, and not in ``gone``, whose neighbours
-    outside ``gone`` are the same.  Empty when no two vertices are twins."""
+    id: vertices of ``region`` (ascending) other than s and t, and in
+    ``alive``, whose neighbours in ``alive`` are the same.  Empty when no
+    two vertices are twins."""
     g = inst.graph
     first: dict[tuple[int, ...], int] = {}  # neighbours -> least such vertex
     classes: dict[int, list[int]] = {}
-    for v in g.sorted_vertices():
-        if v != inst.s and v != inst.t and v not in gone:
-            nbrs = g.neighbors(v)
-            if gone:
-                nbrs = tuple([w for w in nbrs if w not in gone])
+    for v in region:
+        if v != inst.s and v != inst.t and v in alive:
+            nbrs = tuple([w for w in g.neighbors(v) if w in alive])
             rep = first.setdefault(nbrs, v)
             if rep != v:
                 classes.setdefault(rep, [rep]).append(v)
     return classes
 
 
+def _kernel(inst: Instance, region: Sequence[int]
+            ) -> tuple[list[int], dict[int, list[int]]]:
+    """The representatives of ``region`` (ascending), and the twin classes,
+    after steps 1-3 of ``solve_exact_cut``."""
+    vertex = inst.variant is Variant.VERTEX
+    alive = set(region)
+    if vertex:
+        _delete_simplicial(inst, alive, region)
+    classes = _twin_classes(inst, region, alive)
+    if classes:
+        twins = [v for c in classes.values() for v in c[1:]]
+        alive.difference_update(twins)
+        if vertex:
+            nbrs = inst.graph.neighbors
+            _delete_simplicial(inst, alive,
+                               {w for v in twins for w in nbrs(v)})
+    return sorted(alive), classes
+
+
 def solve_exact_cut(inst: Instance,
                     td: Optional[TreeDecomposition] = None, *,
                     table_budget: int = TABLE_BUDGET,
-                    distances: Optional[Distances] = None) -> CutSet:
+                    prune: Optional[PruneResult] = None) -> CutSet:
     """Optimal L-bounded cut via the CSP route, with the width it ran on.
 
-    ``distances`` passes the prune's hop distances on to the encoder, as in
-    ``csp.encode_edge_cut``; without them the encoder searches itself.
+    ``prune`` (``fpt.prune_to_relevant``'s result for ``inst``) confines
+    the solve to its kept vertices, the region, and hands the prune's
+    distances to the encoder.  Without it the region is every vertex and
+    the encoder searches itself.  A supplied ``td`` must decompose
+    ``inst.graph`` (``treedec.validate``, InvalidDecomposition otherwise);
+    it is checked first, even when nothing is kept.  When nothing is kept,
+    no short path exists and the cut is empty.
 
-    The instance is shrunk first, in steps that share one induced
-    subgraph; the hop distances of what is left are the instance's own.
+    A simple s-t path in the region has at most |region|-1 edges, so every
+    L >= |region|-1 bounds the same cuts: the s-t separators.  Such an L
+    gets a max-flow minimum cut of the region (Menger's theorem), and no
+    decomposition or DP runs.  Below that, the region is shrunk, in the
+    instance graph's own ids; the hop distances of what is left are the
+    instance's own.
 
     1. Vertex variant only: simplicial vertices are deleted.  Every vertex
        other than s and t whose remaining neighbours are pairwise adjacent
@@ -250,66 +282,70 @@ def solve_exact_cut(inst: Instance,
        twins' neighbours.  The shortcut argument holds for the weighted
        instance too, so no vertex the DP sees is simplicial.
 
-    A supplied ``td`` has the deleted vertices and the other twins dropped
-    from its bags.  The representatives' cut is expanded to whole classes
-    (each representative in it, or each cut edge's pairs of class
-    members), checked on ``inst`` and against the weighted cost.
+    The representatives, ascending, become the vertices 0..r-1 of one
+    graph, the only one the solve builds; a supplied ``td``'s bags, the
+    distances and the class sizes are mapped through the same index.  Every
+    finite distance is at most r-1, so an L above r-1 is lowered to it,
+    which keeps the label domains, and so the tables, from growing with L.
+    The representatives' cut is mapped back and expanded to whole classes
+    (each representative in it, or each cut edge's pairs of class members),
+    checked against the weighted cost, and verified once, on ``inst``.
     ``width_used`` is the width of the representatives' decomposition.
-
-    A simple s-t path has at most n-1 edges (n the vertex count of the
-    graph solved), so every L >= n-1 bounds the same cuts: the s-t
-    separators.  An L above n-1 is lowered to it before encoding, which
-    keeps the label domains, and so the tables, from growing with L.
-    Every finite distance is at most n-1, so ``distances`` stay valid.
     """
-    g = inst.graph
-    vertex = inst.variant is Variant.VERTEX
-    dropped: set[int] = set()
-    if vertex:
-        _delete_simplicial(inst, dropped, g.vertices)
-    classes = _twin_classes(inst, dropped)
-    sizes = None
-    if classes:
-        twins = [v for c in classes.values() for v in c[1:]]
-        dropped.update(twins)
-        sizes = [1] * g.n
-        for v, c in classes.items():
-            sizes[v] = len(c)
-        if vertex:
-            _delete_simplicial(inst, dropped,
-                               {w for v in twins for w in g.neighbors(v)})
-    if dropped:
-        g = g.induced(g.vertices - dropped)
-        if td is not None:
+    g, s, t = inst.graph, inst.s, inst.t
+    edge = inst.variant is Variant.EDGE
+    if td is not None:
+        validate(td, g)
+    if prune is None:
+        region: Sequence[int] = g.sorted_vertices()
+    elif not prune.kept:
+        return CutSet(inst.variant, (), lower_bound=0, algorithm="fpt")
+    else:
+        region = prune.kept
+    if inst.L >= len(region) - 1:
+        flow = min_edge_cut if edge else min_vertex_cut
+        members = flow(g if prune is None else g.induced(region), s, t).members
+        width_used = None
+    else:
+        reps, classes = _kernel(inst, region)
+        index = [-1] * g.n  # position in reps by vertex id, -1 if absent
+        for i, v in enumerate(reps):
+            index[v] = i
+        r = len(reps)
+        sub = Instance(
+            Graph(r, frozenset(range(r)), frozenset(
+                (i, j) for i, v in enumerate(reps)
+                for w in g.neighbors(v) if (j := index[w]) > i)),
+            index[s], index[t], min(inst.L, r - 1), inst.variant)
+        distances = None if prune is None else (
+            [prune.d_s[v] for v in reps], [prune.d_t[v] for v in reps])
+        whole = [classes.get(v, (v,)) for v in reps]  # class by new id
+        sizes = [len(c) for c in whole] if classes else None
+        encode = encode_edge_cut if edge else encode_vertex_cut
+        q = encode(sub, distances=distances, sizes=sizes)
+        if td is None:
+            td = build_heuristic(sub.graph)
+        else:
             td = TreeDecomposition(
-                tuple(tuple(v for v in bag if v not in dropped)
+                tuple(tuple(index[v] for v in bag if index[v] >= 0)
                       for bag in td.bags), td.tree_edges, td.root)
-    reps = Instance(g, inst.s, inst.t, min(inst.L, len(g.vertices) - 1),
-                    inst.variant)
-    if inst.variant is Variant.EDGE:
-        q = encode_edge_cut(reps, distances=distances, sizes=sizes)
-    else:
-        q = encode_vertex_cut(reps, distances=distances, sizes=sizes)
-    if td is None:
-        td = build_heuristic(g)
-    sol = solve_min_csp(q, td, table_budget=table_budget)
-    if sol is None:
-        raise LbcutError("cut encodings are always hard-feasible; "
-                         "infeasibility indicates a bug")
-    if inst.variant is Variant.EDGE:
-        members = decode_edge(reps, sol.assignment).members
-        if classes:
-            members = [(a, b) for u, v in members
-                       for a in classes.get(u, (u,))
-                       for b in classes.get(v, (v,))]
-    else:
-        members = decode_vertex(reps, sol.assignment).members
-        if classes:
-            members = [a for v in members for a in classes.get(v, (v,))]
+        sol = solve_min_csp(q, td, table_budget=table_budget)
+        if sol is None:
+            raise LbcutError("cut encodings are always hard-feasible; "
+                             "infeasibility indicates a bug")
+        if edge:
+            cut = decode_edge(sub, sol.assignment)
+            members = [(a, b) for u, v in cut.members
+                       for a in whole[u] for b in whole[v]]
+        else:
+            cut = decode_vertex(sub, sol.assignment)
+            members = [a for v in cut.members for a in whole[v]]
+        if len(members) != sol.cost:
+            raise LbcutError("decoded cut size disagrees with the CSP cost")
+        width_used = width(td)
     cut = CutSet(inst.variant, members, lower_bound=len(members),
-                 algorithm="exact-dp", width_used=width(td))
+                 algorithm="fpt", width_used=width_used)
     if not verify_cut(inst, cut).feasible:
-        raise LbcutError("decoded cut failed verification; solver bug")
-    if len(cut.members) != sol.cost:
-        raise LbcutError("decoded cut size disagrees with the CSP cost")
+        raise LbcutError("cut failed verification on the instance given; "
+                         "solver bug")
     return cut

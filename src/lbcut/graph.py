@@ -12,8 +12,8 @@ vertex id: a search that may reach most of the graph pays one list slot
 per vertex and no hashing.  ``bfs_distances``, the prune's search
 from t (``fpt.prune_to_relevant``, which enters a vertex only if its
 distance from s leaves room) and ``verify_cut`` all call it, so a solve's
-four searches (two in the prune, whose distances the exact solver's
-encoder reuses, and two checks of the cut) run on lists.  ``verify_cut``
+three searches (two in the prune, whose distances the exact solver's
+encoder reuses, and one check of the cut) run on lists.  ``verify_cut``
 marks a vertex cut's members before the search starts and checks a cut
 edge only at its two endpoints, through a small set per endpoint.
 

@@ -8,8 +8,8 @@ import lbcut.dp
 import lbcut.fpt
 import lbcut.graph
 import lbcut.treedec
-from lbcut import (Graph, Instance, TreeDecomposition, UNKNOWN, Variant,
-                   bfs_distances, brute_force_cut, generate,
+from lbcut import (Graph, Instance, InvalidDecomposition, TreeDecomposition,
+                   UNKNOWN, Variant, bfs_distances, brute_force_cut, generate,
                    hop_distance, parse_instance, prune_to_relevant,
                    solve_exact_cut, solve_fpt)
 
@@ -23,14 +23,14 @@ def test_prune_drops_pendant_off_short_paths():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     pr = prune_to_relevant(Instance(g, 0, 3, 3, Variant.EDGE))
     assert pr.kept == (0, 1, 2, 3)
-    assert pr.subgraph.m == 3
+    assert g.induced(pr.kept).m == 3
 
 
 def test_prune_keeps_everything_for_large_L():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     pr = prune_to_relevant(Instance(g, 0, 3, 10, Variant.EDGE))
     assert pr.kept == (0, 1, 2, 3, 4)
-    assert pr.subgraph.edges == g.edges
+    assert g.induced(pr.kept).edges == g.edges
 
 
 def test_short_circuit_when_terminals_far():
@@ -97,8 +97,8 @@ def test_pruned_radius_claim_on_planar_instances():
             continue
         L = d + rng.randint(0, 2)
         pr = prune_to_relevant(Instance(g, s, t, L, Variant.EDGE))
-        sub_dist = bfs_distances(pr.subgraph, pr.to_sub[s])
-        for v in range(pr.subgraph.n):
+        sub_dist = bfs_distances(g.induced(pr.kept), s)
+        for v in pr.kept:
             assert sub_dist[v] is not None and sub_dist[v] <= L
 
 
@@ -150,15 +150,45 @@ def test_supplied_decomposition_is_pruned_and_used():
     assert cut.width_used == 5
 
 
+def test_supplied_decomposition_must_decompose_the_instance_graph():
+    # The 6-cycle 0..5 with isolated vertex 6, s = 0 and t = 3.  Each bad
+    # decomposition fails treedec.validate on the instance graph, and both
+    # solvers raise its message whatever L asks for: no short path (L = 2),
+    # the DP (L = 3) or a max-flow (L = 10).  The prune keeps no isolated
+    # vertex, so only the check on the instance graph finds vertex 6.
+    g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)])
+    tree = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+    good = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (6,))
+    bad = {
+        "bag vertex 9 at node 0 is not a vertex of the graph":
+            ((0, 1, 2, 9),) + good[1:],
+        "vertex 6 appears in no bag": good[:4] + ((5,),),
+        "edge (0,5) is covered by no bag":
+            good[:3] + ((4, 5), (6,)),
+    }
+    for variant in Variant:
+        for L in (2, 3, 10):
+            inst = Instance(g, 0, 3, L, variant)
+            for solve in (solve_fpt, solve_exact_cut):
+                want = solve(inst).size
+                assert solve(inst, TreeDecomposition(good, tree)).size == want
+                for message, bags in bad.items():
+                    with pytest.raises(InvalidDecomposition) as exc:
+                        solve(inst, TreeDecomposition(bags, tree))
+                    assert str(exc.value) == message
+
+
 def _check_prune_distances(inst: Instance) -> bool:
     """The prune's d_s and d_t are the pruned subgraph's own distances
     from s and t (within L of both); False when nothing was kept."""
     pr = prune_to_relevant(inst)
     if not pr.kept:
-        assert pr.d_s == pr.d_t == ()
+        assert all(d is None for d in pr.d_t)
         return False
+    sub = inst.graph.induced(pr.kept)
     for dist, x in ((pr.d_s, inst.s), (pr.d_t, inst.t)):
-        assert dist == bfs_distances(pr.subgraph, pr.to_sub[x], cap=inst.L)
+        want = bfs_distances(sub, x, cap=inst.L)
+        assert [dist[v] for v in pr.kept] == [want[v] for v in pr.kept]
     return True
 
 
@@ -224,7 +254,11 @@ def test_prune_keeps_what_two_full_searches_keep():
             for L in range(1, 2 * diameter + 1):
                 inst = Instance(g, s, t, L, Variant.EDGE)
                 pr = prune_to_relevant(inst)
-                assert (pr.kept, pr.d_s, pr.d_t) == _prune_reference(inst)
+                assert (pr.kept, tuple(pr.d_s[v] for v in pr.kept),
+                        tuple(pr.d_t[v] for v in pr.kept)
+                        ) == _prune_reference(inst)
+                assert [v for v, d in enumerate(pr.d_t)
+                        if d is not None] == list(pr.kept)
                 if pr.kept:
                     nonempty += 1
                 else:
@@ -233,9 +267,9 @@ def test_prune_keeps_what_two_full_searches_keep():
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_solve_fpt_searches_four_times(monkeypatch, variant):
+def test_solve_fpt_searches_three_times(monkeypatch, variant):
     # Two searches in the prune, whose distances the encoder reuses, and
-    # one verification each of the subgraph's and the original's cut.
+    # one verification of the cut on the instance given.
     searches = []
     real = lbcut.graph.flat_bfs
 
@@ -246,7 +280,7 @@ def test_solve_fpt_searches_four_times(monkeypatch, variant):
     monkeypatch.setattr(lbcut.graph, "flat_bfs", counting)
     cut = solve_fpt(Instance(grid_graph(4, 4), 0, 15, 7, variant))
     assert cut.size == 2
-    assert len(searches) == 4
+    assert len(searches) == 3
 
 
 def test_large_L_solves_like_the_longest_simple_path():
@@ -273,12 +307,13 @@ def test_large_L_solves_like_the_longest_simple_path():
 def test_large_L_cut_is_a_max_flow_cut():
     # From L = len(kept) - 1 on, every simple s-t path in the kept region
     # is short, so a minimum s-t separator is optimal and no DP runs;
-    # below that the DP does.  Connected atlas graphs up to 6 vertices and
-    # grids up to 4x4, s and t at the two ends, at L = k-3 to k+1 (from 1)
-    # and 10**6, with k the count kept at 10**6.
+    # below that the DP does.  solve_exact_cut, whose region is every
+    # vertex, does the same from L = |V| - 1 on.  Connected atlas graphs
+    # up to 6 vertices and grids up to 4x4, s and t at the two ends, at
+    # L = k-3 to k+1 (from 1) and 10**6, with k the count kept at 10**6.
     graphs = list(atlas_graphs(6)[1:])
     graphs += [grid_graph(r, c) for r in (2, 3, 4) for c in (2, 3, 4)]
-    flows = dps = 0
+    flows = dps = exact_flows = exact_dps = 0
     for g in graphs:
         s, t = 0, g.n - 1
         for variant in Variant:
@@ -290,12 +325,20 @@ def test_large_L_cut_is_a_max_flow_cut():
                     continue
                 inst = Instance(g, s, t, L, variant)
                 by_flow = L >= len(prune_to_relevant(inst).kept) - 1
+                size = brute_force_cut(inst).size
                 cut = solve_fpt(inst)
-                assert cut.size == cut.lower_bound == brute_force_cut(inst).size
+                assert cut.size == cut.lower_bound == size
                 assert (cut.width_used is None) == by_flow
                 flows += by_flow
                 dps += not by_flow
+                exact_by_flow = L >= len(g.vertices) - 1
+                cut = solve_exact_cut(inst)
+                assert cut.size == cut.lower_bound == size
+                assert (cut.width_used is None) == exact_by_flow
+                exact_flows += exact_by_flow
+                exact_dps += not exact_by_flow
     assert flows > 500 and dps > 100
+    assert exact_flows > 700 and exact_dps > 350
 
 
 def _is_simplicial(g: Graph, v: int) -> bool:
@@ -311,6 +354,30 @@ def _simplicial_kernel(g: Graph, s: int, t: int) -> Graph:
         if v is None:
             return g
         g = g.induced(g.vertices - {v})
+
+
+def _compact(g: Graph, keep) -> Graph:
+    """The subgraph of g induced by ``keep``, its vertices relabelled
+    0..len(keep)-1 in ascending order."""
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    return Graph.from_edges(len(index), [(index[u], index[v])
+                                         for u, v in g.edges
+                                         if u in index and v in index])
+
+
+def _recording_encoders(monkeypatch) -> list[Instance]:
+    """Patch the encoders the exact solver calls to record the instance
+    each receives; returns the list they append to."""
+    received = []
+    for name in ("encode_edge_cut", "encode_vertex_cut"):
+        real = getattr(lbcut.dp, name)
+
+        def recording(inst, *args, real=real, **kwargs):
+            received.append(inst)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(lbcut.dp, name, recording)
+    return received
 
 
 def _representatives(g: Graph, s: int, t: int) -> frozenset[int]:
@@ -341,19 +408,12 @@ def _twin_instances():
 
 
 def test_twins_are_contracted_before_the_dp(monkeypatch):
-    # The DP decomposes only the representatives of the kept subgraph's
-    # twin classes, and its expanded cut is optimal in both variants.  In
-    # the vertex variant, simplicial vertices are deleted before and after
-    # the contraction.
-    received = []
-    real = lbcut.treedec.build_heuristic
-
-    def recording(g):
-        received.append(g.vertices)
-        return real(g)
-
-    monkeypatch.setattr(lbcut.dp, "build_heuristic", recording)
-    monkeypatch.setattr(lbcut.fpt, "build_heuristic", recording)
+    # The DP encodes only the representatives of the kept subgraph's twin
+    # classes, relabelled 0..r-1 in ascending order, and its expanded cut
+    # is optimal in both variants, with and without a supplied
+    # decomposition.  In the vertex variant, simplicial vertices are
+    # deleted before and after the contraction.
+    received = _recording_encoders(monkeypatch)
     contracted = solved = 0
     for g, s, t in _twin_instances():
         for variant in Variant:
@@ -362,26 +422,31 @@ def test_twins_are_contracted_before_the_dp(monkeypatch):
             for L in range(1, 6):
                 inst = Instance(g, s, t, L, variant)
                 want = brute_force_cut(inst)
-                received.clear()
-                cut = solve_fpt(inst)
-                if want is not UNKNOWN:
-                    assert cut.size == want.size, (g.edges, s, t, L, variant)
-                    solved += 1
-                if cut.width_used is None:
-                    assert received == []
-                    continue
                 pr = prune_to_relevant(inst)
-                sub_s, sub_t = pr.to_sub[s], pr.to_sub[t]
-                sub = pr.subgraph
+                sub = g.induced(pr.kept)
                 if variant is Variant.VERTEX:
-                    sub = _simplicial_kernel(sub, sub_s, sub_t)
-                reps = _representatives(sub, sub_s, sub_t)
+                    sub = _simplicial_kernel(sub, s, t)
+                reps = _representatives(sub, s, t)
                 if variant is Variant.VERTEX:
-                    reps = _simplicial_kernel(sub.induced(reps), sub_s,
-                                              sub_t).vertices
-                assert received == [reps]
-                contracted += len(reps) < len(pr.kept)
-    assert solved > 250 and contracted > 80
+                    reps = _simplicial_kernel(sub.induced(reps), s,
+                                              t).vertices
+                ordered = sorted(reps)
+                for td in (None, lbcut.treedec.build_heuristic(g)):
+                    received.clear()
+                    cut = solve_fpt(inst, td)
+                    if want is not UNKNOWN:
+                        assert cut.size == want.size, (g.edges, s, t, L,
+                                                       variant)
+                    if cut.width_used is None:
+                        assert received == []
+                        continue
+                    [got] = received
+                    assert got.graph == _compact(g, reps)
+                    assert (got.s, got.t) == (ordered.index(s),
+                                              ordered.index(t))
+                    contracted += len(reps) < len(pr.kept)
+                solved += want is not UNKNOWN
+    assert solved > 250 and contracted > 160
 
 
 def _two_path(g: Graph, a: int, b: int, k: int) -> Graph:
@@ -413,18 +478,12 @@ def _simplicial_instances():
 
 
 def test_simplicial_vertices_are_deleted_before_the_dp(monkeypatch):
-    # Vertex variant: the DP's decomposition never holds a vertex other
-    # than s and t that is simplicial in its graph, and the cut is optimal,
-    # with and without a supplied decomposition.  Some deleted vertices
-    # were simplicial only once another had been deleted.
-    received = []
+    # Vertex variant: the graph the DP encodes, in its own compact ids,
+    # has no vertex other than its s and t that is simplicial there, and
+    # the cut is optimal, with and without a supplied decomposition.  Some
+    # deleted vertices were simplicial only once another had been deleted.
+    received = _recording_encoders(monkeypatch)
     real = lbcut.treedec.build_heuristic
-
-    def recording(g):
-        received.append(g)
-        return real(g)
-
-    monkeypatch.setattr(lbcut.dp, "build_heuristic", recording)
     solved = cascades = 0
     for g, s, t in _simplicial_instances():
         if g.has_edge(s, t):
@@ -436,16 +495,16 @@ def test_simplicial_vertices_are_deleted_before_the_dp(monkeypatch):
             inst = Instance(g, s, t, L, Variant.VERTEX)
             want = brute_force_cut(inst)
             assert want is not UNKNOWN
-            pr = prune_to_relevant(inst)
-            sub_terminals = {pr.to_sub.get(s), pr.to_sub.get(t)}
-            for solve, terminals in ((solve_exact_cut, {s, t}),
-                                     (solve_fpt, sub_terminals)):
+            for solve in (solve_exact_cut, solve_fpt):
                 for td in (None, real(g)):
                     received.clear()
                     cut = solve(inst, td)
                     assert cut.size == want.size, (sorted(g.edges), s, t, L)
-                    for h in received:
+                    assert len(received) == (cut.width_used is not None)
+                    for got in received:
+                        h = got.graph
+                        assert h.vertices == frozenset(range(h.n))
                         assert not any(_is_simplicial(h, v) for v in h.vertices
-                                       if v not in terminals)
+                                       if v not in (got.s, got.t))
             solved += 1
     assert solved > 140 and cascades > 15
