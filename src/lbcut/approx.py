@@ -2,10 +2,25 @@
 
 Given a rooted tree decomposition of width w, the returned cut is feasible,
 at most w times the optimum, and comes with a certified lower bound on the
-optimum.  ``approx_auto`` first prunes to the vertices some short s-t path
-can use, with the exact solver's front end (``fpt.prune_to_relevant``), and
-decomposes only them, so w is the width of the pruned graph's
-decomposition, never of the parts no short path reaches.
+optimum.  ``approx_vertex_cut`` runs the loop below on the decomposition it
+is given.  ``approx_auto`` is the front end:
+
+  1. it prunes to the vertices some short s-t path can use, with the exact
+     solver's front end (``fpt.prune_to_relevant``), and decomposes only
+     them, so w is the width of the kept graph's decomposition, never of
+     the parts no short path reaches;
+  2. it puts the common neighbours of s and t in the cut (``forced``).
+     With L >= 2 each such c is the only inner vertex of the short path
+     s-c-t, so every cut holds it, and these paths are internally
+     disjoint;
+  3. if no short path avoids them, they are the cut, optimal, with lower
+     bound |forced| and an empty trace; otherwise the loop runs with them
+     already deleted.  The loop's paths avoid them, so the lower bound is
+     ``len(forced) + len(trace)``, and the cut, at most |forced| plus w per
+     step, is at most w times that bound (w >= 1 when an s-t path exists).
+
+The decomposition is built in step 1 even when the forced vertices alone
+are a cut: ``width_used`` states the factor the cut is checked against.
 
 One loop runs over the instance graph and decomposition with a shrinking
 set of alive vertices; a node's live bag (live subtree set) is its bag (the
@@ -133,8 +148,17 @@ class LiveSubtrees:
 
 @dataclass(frozen=True)
 class ApproxResult:
+    """The cut and the loop's steps.
+
+    ``forced`` lists the vertices deleted before the loop: the common
+    neighbours of s and t, each the only inner vertex of a short path.
+    Those paths and the one each step certifies are internally disjoint,
+    so ``cut.lower_bound`` is ``len(forced) + len(trace)``.
+    """
+
     cut: CutSet
     trace: tuple[TraceEvent, ...]
+    forced: tuple[int, ...] = ()
 
     # Read through to the cut; the benchmark still reads them here.
     @property
@@ -146,18 +170,33 @@ class ApproxResult:
         return self.cut.width_used
 
 
+def _checked(inst: Instance, res: ApproxResult) -> ApproxResult:
+    if not verify_cut(inst, res.cut).feasible:
+        raise LbcutError("approximation returned an infeasible cut; solver bug")
+    return res
+
+
 def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
     """Run the approximation on a decomposition of the instance graph;
     ``treedec.validate`` raises InvalidDecomposition if it is not one."""
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
+    return _checked(inst, _deletion_loop(inst, td, frozenset()))
+
+
+def _deletion_loop(inst: Instance, td: TreeDecomposition,
+                   forced: frozenset[int]) -> ApproxResult:
+    """The loop of the module docstring, on ``inst.graph`` minus ``forced``
+    (vertices other than s and t, already in the cut); the cut is not
+    verified here."""
     live = LiveSubtrees(td, validate(td, inst.graph))
+    live.delete(forced)
     bag_sets, alive = td.bag_sets, live.alive
 
     g, s, t, L = inst.graph, inst.s, inst.t, inst.L
     both = sorted((a for a in range(td.n_nodes) if {s, t} <= bag_sets[a]),
                   key=lambda a: (-td.depth[a], a))
-    members: set[int] = set()
+    members: set[int] = set(forced)
     trace: list[TraceEvent] = []
 
     def delete_live_bag(kind: str, a: int, subtree: set[int]) -> None:
@@ -190,29 +229,31 @@ def approx_vertex_cut(inst: Instance, td: TreeDecomposition) -> ApproxResult:
             b = min(both, key=lambda a: (td.depth[a], a))
             delete_live_bag("fallback", b, live[b])
         else:
-            cut = min_vertex_cut(g, s, t)
+            # No step ran, so the live vertices are the graph minus forced.
+            cut = min_vertex_cut(g.induced(alive) if forced else g, s, t)
             trace.append(TraceEvent("leaf-mincut", removed=cut.members))
             members.update(cut.members)
 
-    cut = CutSet(Variant.VERTEX, tuple(sorted(members)),
-                 lower_bound=len(trace), algorithm="approx",
+    cut = CutSet(Variant.VERTEX, tuple(members),
+                 lower_bound=len(forced) + len(trace), algorithm="approx",
                  width_used=width(td))
-    if not verify_cut(inst, cut).feasible:
-        raise LbcutError("approximation returned an infeasible cut; solver bug")
-    return ApproxResult(cut, tuple(trace))
+    return ApproxResult(cut, tuple(trace), tuple(sorted(forced)))
 
 
 def approx_auto(inst: Instance) -> ApproxResult:
-    """Prune to the short-path region, decompose it, and approximate there.
+    """Prune to the short-path region, decompose it, put the common
+    neighbours of s and t in the cut, and run the loop on what is left.
 
     The front end is ``fpt.prune_to_relevant``.  With no short path the
     empty cut is returned (``lower_bound`` 0, ``width_used`` None).  When
     pruning drops nothing the instance runs as given; otherwise on the
     induced subgraph of the kept vertices, which keeps the original ids, so
     the trace names original vertices.  Every short path lies in that
-    subgraph, so its cut is a cut of the original graph (verified there
-    again) and its disjoint short paths certify the same lower bound.  The
-    factor ``width_used`` is the width of the pruned graph's decomposition.
+    subgraph, so its cut is a cut of the original graph and its disjoint
+    short paths certify the same lower bound.  The factor ``width_used`` is
+    the width of the kept graph's decomposition, built even when the
+    common neighbours alone are a cut.  The cut is verified on the
+    instance given.
     """
     if inst.variant is not Variant.VERTEX:
         raise ValueError("the approximation handles vertex cuts only")
@@ -220,13 +261,16 @@ def approx_auto(inst: Instance) -> ApproxResult:
     if not kept:
         return ApproxResult(CutSet(Variant.VERTEX, (), lower_bound=0,
                                    algorithm="approx"), ())
-    g = inst.graph
-    if len(kept) == len(g.vertices):
-        return approx_vertex_cut(inst, build_heuristic(g))
-    sub = Instance(g.induced(kept), inst.s, inst.t, inst.L, Variant.VERTEX)
-    res = approx_vertex_cut(sub, build_heuristic(sub.graph))
-    if not verify_cut(inst, res.cut).feasible:
-        raise LbcutError(
-            "cut of the pruned graph failed verification on the original "
-            "graph; solver bug")
-    return res
+    g, s, t, L = inst.graph, inst.s, inst.t, inst.L
+    sub = inst if len(kept) == len(g.vertices) else Instance(
+        g.induced(kept), s, t, L, Variant.VERTEX)
+    td = build_heuristic(sub.graph)
+    # Something is kept, so t is within L >= 2 of s (they are not adjacent),
+    # and each common neighbour c is kept: s-c-t is a short path.
+    forced = frozenset(g.neighbors(s)).intersection(g.neighbors(t))
+    if forced and hop_distance(sub.graph, s, t, cap=L,
+                               within=set(kept).difference(forced)) is None:
+        cut = CutSet(Variant.VERTEX, tuple(forced), lower_bound=len(forced),
+                     algorithm="approx", width_used=width(td))
+        return _checked(inst, ApproxResult(cut, (), cut.members))
+    return _checked(inst, _deletion_loop(sub, td, forced))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import GraphError, InvalidDecomposition
@@ -46,7 +47,10 @@ class TreeDecomposition:
                                                  compare=False)
 
     def __post_init__(self):
-        bags = tuple(tuple(sorted(set(b))) for b in self.bags)
+        # A bag that is already a strictly ascending tuple (as
+        # ``build_heuristic`` makes them) is kept as it is.
+        bags = tuple(b if type(b) is tuple and all(map(lt, b, b[1:]))
+                     else tuple(sorted(set(b))) for b in self.bags)
         object.__setattr__(self, "bags", bags)
         k = len(bags)
         if k == 0:
@@ -63,8 +67,11 @@ class TreeDecomposition:
             raise InvalidDecomposition(
                 f"{len(edges)} tree edges over {k} nodes is not a tree")
 
+        # Edges in ascending order leave every node's neighbours ascending:
+        # x's smaller neighbours y arrive with the edges (y, x) before its
+        # own edges (x, y).
         adj: list[list[int]] = [[] for _ in range(k)]
-        for x, y in edges:
+        for x, y in sorted(edges):
             adj[x].append(y)
             adj[y].append(x)
         parent: list[Optional[int]] = [None] * k
@@ -73,7 +80,7 @@ class TreeDecomposition:
         order = [self.root]
         depth[self.root] = 0
         for a in order:  # grows while it is walked: a breadth-first queue
-            for b in sorted(adj[a]):
+            for b in adj[a]:
                 if depth[b] is None:
                     parent[b] = a
                     depth[b] = depth[a] + 1

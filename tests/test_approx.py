@@ -6,13 +6,14 @@ import pytest
 from lbcut import (Graph, Instance, InvalidDecomposition, TreeDecomposition,
                    UNKNOWN, Variant, approx_auto, approx_vertex_cut,
                    brute_force_cut, build_heuristic, enumerate_short_paths,
-                   generate, parse_instance, validate, verify_cut,
-                   width)
+                   generate, parse_instance, prune_to_relevant, validate,
+                   verify_cut, width)
 from lbcut.approx import LiveSubtrees
 from lbcut.treedec import subtree_vertex_sets
 
 from conftest import (atlas_graphs, fan_instance, grid_graph, random_graph,
                       without_vertices)
+from test_approx_golden import golden_instances
 
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -68,6 +69,68 @@ def test_trivial_when_terminals_far():
     res = approx_auto(inst)
     assert res.cut.members == () and res.lower_bound == 0
     assert res.width_used is None and res.trace == ()
+
+
+def test_auto_forces_the_common_neighbours_on_small_corpus():
+    # Every connected graph up to 6 vertices, every non-adjacent pair,
+    # L in 2..4: the common neighbours of s and t are in every cut, each
+    # one certifies a unit of the bound, and the ratio is still stated in
+    # the width of the kept graph's decomposition.
+    for g in atlas_graphs(6):
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                if g.has_edge(s, t):
+                    continue
+                common = set(g.neighbors(s)) & set(g.neighbors(t))
+                for L in (2, 3, 4):
+                    inst = Instance(g, s, t, L, Variant.VERTEX)
+                    opt = brute_force_cut(inst).size
+                    res = approx_auto(inst)
+                    lb, size = res.lower_bound, res.cut.size
+                    assert verify_cut(inst, res.cut).feasible
+                    assert common <= set(res.cut.members)
+                    assert set(res.forced) == common
+                    assert lb == len(res.forced) + len(res.trace)
+                    kept = prune_to_relevant(inst).kept
+                    if not kept:
+                        assert size == 0 and res.width_used is None
+                        continue
+                    assert lb <= opt <= size <= res.width_used * max(lb, 1)
+                    assert res.width_used == width(
+                        build_heuristic(g.induced(kept)))
+
+
+def test_auto_cuts_a_long_fan_by_its_common_neighbours():
+    # Every path vertex is a common neighbour of s and t, and deleting them
+    # leaves no short path: the loop does not run at all.
+    k = 20_000
+    start = time.perf_counter()
+    res = approx_auto(fan_instance(k))
+    elapsed = time.perf_counter() - start
+    assert res.cut.members == res.forced == tuple(range(2, k + 2))
+    assert res.lower_bound == k and res.trace == ()
+    assert elapsed < 10.0, f"k={k} took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("inst, members, kinds", [
+    # 1 is forced, and the path 0-4-3-2 survives it; s and t share no bag
+    (Instance(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+              0, 2, 3, Variant.VERTEX), (1, 4), ["leaf-mincut"]),
+    # 9 forced, then 3 steps: a cut that meets its bound (the loop alone
+    # certifies 8 on this pair)
+    (golden_instances()["ktree150-k3-L3"],
+     (2, 3, 5, 7, 11, 17, 21, 23, 29, 39, 50, 111), ["prune"] * 3),
+], ids=["cycle5", "ktree150-k3-L3"])
+def test_auto_runs_the_loop_after_the_forced_vertices(inst, members, kinds):
+    g, s, t = inst.graph, inst.s, inst.t
+    res = approx_auto(inst)
+    forced = set(res.forced)
+    assert forced and forced == set(g.neighbors(s)) & set(g.neighbors(t))
+    assert [e.kind for e in res.trace] == kinds
+    for ev in res.trace:
+        assert not forced & set(ev.removed)
+    assert res.cut.members == members
+    assert res.lower_bound == len(forced) + len(kinds) == len(members)
 
 
 def _with_unreachable_clique(inst: Instance, size: int = 6) -> Instance:
@@ -175,7 +238,7 @@ def test_prune_events_destroy_a_short_path_disjointly():
                     continue
                 L = rng.randint(2, 4)
                 inst = Instance(g, s, t, L, Variant.VERTEX)
-                res = approx_auto(inst)
+                res = approx_vertex_cut(inst, build_heuristic(inst.graph))
                 for ev in res.trace:
                     if ev.kind != "prune":
                         continue
@@ -252,15 +315,15 @@ def test_trace_subtree_sets_are_the_bags_below_minus_earlier_deletions():
 
 def test_long_fan_runs_without_recursion():
     # s = 0 and t = 1 adjacent to every vertex of the path 2..k+1: with
-    # L = 2 the optimum is the whole path.  The approximation takes k - 1
-    # steps (the first deletes two path vertices), far more than the
-    # default recursion limit.  Each step's short-path test scans only the
-    # few live vertices below its node, not the k neighbours of s, so the
-    # run is about linear in k.
+    # L = 2 the optimum is the whole path.  The loop takes k - 1 steps (the
+    # first deletes two path vertices), far more than the default recursion
+    # limit.  Each step's short-path test scans only the few live vertices
+    # below its node, not the k neighbours of s, so the run is about linear
+    # in k.  (approx_auto puts the path in the cut before the loop.)
     k = 20_000
     inst = fan_instance(k)
     start = time.perf_counter()
-    res = approx_auto(inst)
+    res = approx_vertex_cut(inst, build_heuristic(inst.graph))
     elapsed = time.perf_counter() - start
     assert res.cut.members == tuple(range(2, k + 2))
     assert res.lower_bound == k - 1
